@@ -17,13 +17,9 @@ from .circuit import (
     parse_json_circuit,
     parse_qasm_subset,
 )
-from .commutation import (
-    CommutationRule,
-    CommutationRuleSet,
-    commutes,
-    commutes_matrix_oracle,
-)
+from .commutation import CommutationRule, CommutationRuleSet, commutes
 from .depgraph import (
+    CycleError,
     DependencyDag,
     DisjunctiveEdgeMode,
     DisjunctiveGraph,
@@ -34,7 +30,6 @@ from .depgraph import (
 )
 from .exact import SolveResult, SolverConfig, export_mip_lp, solve_bnb, solve_bruteforce
 from .schedulers import (
-    CycleError,
     Orientation,
     Schedule,
     Violation,
@@ -74,7 +69,6 @@ __all__ = [
     "circuit_to_json",
     "circuit_to_qasm",
     "commutes",
-    "commutes_matrix_oracle",
     "export_dot",
     "export_mip_lp",
     "heft",

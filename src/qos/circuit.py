@@ -198,19 +198,26 @@ class DurationTable:
             raise CircuitError(f"invalid duration table JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise CircuitError("duration table must be a JSON object")
+        entries, names = doc.get("exact", []), doc.get("defaults", {})
+        if not isinstance(entries, list):
+            raise CircuitError("duration table 'exact' must be an array")
+        if not isinstance(names, dict):
+            raise CircuitError("duration table 'defaults' must be an object")
         exact: dict[tuple[str, tuple[int, ...]], int] = {}
-        for i, entry in enumerate(doc.get("exact", [])):
+        for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not {"name", "qubits", "duration"} <= entry.keys():
                 raise CircuitError(f"exact entry {i}: needs name, qubits, duration")
-            qubits = tuple(entry["qubits"])
-            if any(isinstance(q, bool) or not isinstance(q, int) for q in qubits):
-                raise CircuitError(f"exact entry {i}: qubits must be integers")
-            exact[(str(entry["name"]).lower(), qubits)] = _as_duration(
+            qubits = entry["qubits"]
+            if not isinstance(qubits, list) or any(
+                isinstance(q, bool) or not isinstance(q, int) for q in qubits
+            ):
+                raise CircuitError(f"exact entry {i}: qubits must be an array of integers")
+            exact[(str(entry["name"]).lower(), tuple(qubits))] = _as_duration(
                 entry["duration"], f"exact entry {i}"
             )
         defaults = {
             str(name).lower(): _as_duration(d, f"default for {name}")
-            for name, d in doc.get("defaults", {}).items()
+            for name, d in names.items()
         }
         global_default = doc.get("global_default")
         if global_default is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -79,25 +79,21 @@ def load_circuit(
     path: str,
     *,
     fmt: str = "auto",
-    durations_path: str | None = None,
+    durations: DurationTable | None = None,
     default_duration: int | None = None,
 ) -> Circuit:
-    """Read a circuit file and resolve durations per the flags: an explicit
-    table file wins, then a global default; otherwise durations stay as
-    carried by the file (JSON) or zero (QASM)."""
+    """Read a circuit file and resolve its durations: through the table
+    when given, with ``default_duration`` as its global default when that is
+    given too; through ``default_duration`` alone when only it is given;
+    otherwise durations stay as carried by the file (JSON) or zero (QASM)."""
     text = _read_text(path)
     if fmt == "auto":
         fmt = "qasm" if Path(path).suffix.lower() == ".qasm" else "json"
     circuit = parse_qasm_subset(text) if fmt == "qasm" else parse_json_circuit(text)
-    if durations_path is not None:
-        table = DurationTable.from_json(_read_text(durations_path))
-        if default_duration is not None:
-            table = DurationTable(
-                exact=table.exact, defaults=table.defaults, global_default=default_duration
-            )
-        circuit = apply_durations(circuit, table)
-    elif default_duration is not None:
-        circuit = apply_durations(circuit, DurationTable(global_default=default_duration))
+    if default_duration is not None:
+        durations = replace(durations or DurationTable(), global_default=default_duration)
+    if durations is not None:
+        circuit = apply_durations(circuit, durations)
     return circuit
 
 
@@ -115,6 +111,8 @@ def run_compare(
 ) -> list[CompareRow]:
     """Per input file, compute the standard-DAG earliest-start makespan and
     the commutation-aware makespan via the chosen method ("bnb" or "heft").
+    Each file is loaded by :func:`load_circuit` with the given format and
+    durations.
 
     When ``errors`` is given, per-file failures are appended there and the
     remaining files still run; otherwise the first failure raises.
@@ -123,15 +121,9 @@ def run_compare(
     rows: list[CompareRow] = []
     for path in paths:
         try:
-            text = _read_text(path)
-            file_fmt = fmt
-            if file_fmt == "auto":
-                file_fmt = "qasm" if Path(path).suffix.lower() == ".qasm" else "json"
-            circuit = parse_qasm_subset(text) if file_fmt == "qasm" else parse_json_circuit(text)
-            if durations is not None:
-                circuit = apply_durations(circuit, durations)
-            elif default_duration is not None:
-                circuit = apply_durations(circuit, DurationTable(global_default=default_duration))
+            circuit = load_circuit(
+                path, fmt=fmt, durations=durations, default_duration=default_duration
+            )
             std = asap(circuit, build_standard_dag(circuit)).makespan
             graph = build_disjunctive_graph(
                 circuit, build_extended_dag(circuit, rules), rules, mode
@@ -191,6 +183,10 @@ def format_compare_csv(rows: list[CompareRow]) -> str:
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("circuit", help="circuit file (JSON, or QASM subset)")
+    _add_format_args(p)
+
+
+def _add_format_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
         choices=("auto", "qasm", "json"),
@@ -230,7 +226,10 @@ def _add_out_arg(p: argparse.ArgumentParser) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CircuitError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -271,10 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dag", choices=("standard", "extended"), default="standard")
 
     p = sub.add_parser("compare", help="standard-DAG baseline vs. commutation-aware makespans")
-    p.add_argument("circuits", nargs="+", help="circuit files")
-    p.add_argument("--format", choices=("auto", "qasm", "json"), default="auto")
-    p.add_argument("--durations", metavar="PATH")
-    p.add_argument("--default-duration", type=int, metavar="DT")
+    p.add_argument("circuits", nargs="+", help="circuit files (JSON, or QASM subset)")
+    _add_format_args(p)
     _add_rules_arg(p)
     _add_dmode_arg(p)
     p.add_argument("--method", choices=("bnb", "heft"), default="bnb")
@@ -290,6 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_arg(p)
 
     return parser
+
+
+def _read_table(path: str | None) -> DurationTable | None:
+    return None if path is None else DurationTable.from_json(_read_text(path))
+
+
+def _load(args: argparse.Namespace) -> Circuit:
+    """The circuit named on the command line, read per the format and
+    duration flags."""
+    return load_circuit(
+        args.circuit,
+        fmt=args.format,
+        durations=_read_table(args.durations),
+        default_duration=args.default_duration,
+    )
 
 
 def _build_graph(circuit: Circuit, args: argparse.Namespace, dag_kind: str):
@@ -308,23 +320,13 @@ def _build_graph(circuit: Circuit, args: argparse.Namespace, dag_kind: str):
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    circuit = load_circuit(
-        args.circuit,
-        fmt=args.format,
-        durations_path=args.durations,
-        default_duration=args.default_duration,
-    )
+    circuit = _load(args)
     _emit(circuit_to_json(circuit), args.out)
     return 0
 
 
 def _cmd_dag(args: argparse.Namespace) -> int:
-    circuit = load_circuit(
-        args.circuit,
-        fmt=args.format,
-        durations_path=args.durations,
-        default_duration=args.default_duration,
-    )
+    circuit = _load(args)
     _, graph = _build_graph(circuit, args, args.mode)
     if args.emit == "dot":
         _emit(export_dot(graph), args.out)
@@ -339,12 +341,7 @@ def _cmd_dag(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    circuit = load_circuit(
-        args.circuit,
-        fmt=args.format,
-        durations_path=args.durations,
-        default_duration=args.default_duration,
-    )
+    circuit = _load(args)
     dag, graph = _build_graph(circuit, args, args.dag)
     config = SolverConfig(time_limit=args.time_limit)
     if args.method == "asap":
@@ -363,12 +360,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    circuit = load_circuit(
-        args.circuit,
-        fmt=args.format,
-        durations_path=args.durations,
-        default_duration=args.default_duration,
-    )
+    circuit = _load(args)
     schedule = schedule_from_json(_read_text(args.schedule), circuit)
     dag, _ = _build_graph(circuit, args, args.dag)
     violations = validate(circuit, dag, schedule)
@@ -382,13 +374,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    durations = (
-        DurationTable.from_json(_read_text(args.durations)) if args.durations else None
-    )
     errors: list[tuple[str, str]] = []
     rows = run_compare(
         args.circuits,
-        durations,
+        _read_table(args.durations),
         SolverConfig(time_limit=args.time_limit),
         args.method,
         rules=CommutationRuleSet.parse(args.rules),
@@ -405,12 +394,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_mip(args: argparse.Namespace) -> int:
-    circuit = load_circuit(
-        args.circuit,
-        fmt=args.format,
-        durations_path=args.durations,
-        default_duration=args.default_duration,
-    )
+    circuit = _load(args)
     _, graph = _build_graph(circuit, args, args.dag)
     _emit(export_mip_lp(graph), args.out)
     return 0

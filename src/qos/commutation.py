@@ -3,19 +3,14 @@
 Whether two operations may be reordered is decided by a small rule table
 that soundly under-approximates operator commutation: a rule firing means
 the pair provably commutes, while "no rule" does not imply the opposite.
-A dense-matrix commutator computation over the known gate unitaries serves
-as an independent oracle for checking the table.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .circuit import Operation
 
@@ -134,85 +129,3 @@ def commutes(a: Operation, b: Operation, rules: CommutationRuleSet) -> bool:
         if CommutationRule.CX_SHARED_TARGET in rules and a.qubits[1] == b.qubits[1]:
             return True
     return False
-
-
-# --- dense-matrix oracle ------------------------------------------------------
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _gate_matrix(op: Operation) -> np.ndarray:
-    """Unitary of a known gate on its own operands (first operand is the
-    most significant bit)."""
-    name, p = op.name, op.params
-    if name == "h":
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-    if name == "x":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if name == "z":
-        return np.diag([1, -1]).astype(complex)
-    if name == "s":
-        return np.diag([1, 1j]).astype(complex)
-    if name == "t":
-        return np.diag([1, np.exp(1j * math.pi / 4)])
-    if name == "u1":
-        (lam,) = p
-        return np.diag([1, np.exp(1j * lam)])
-    if name == "u2":
-        phi, lam = p
-        return _INV_SQRT2 * np.array(
-            [[1, -np.exp(1j * lam)], [np.exp(1j * phi), np.exp(1j * (phi + lam))]]
-        )
-    if name == "u3":
-        theta, phi, lam = p
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array(
-            [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
-        )
-    if name == "cx":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    raise ValueError(f"no unitary known for gate {op.name!r}")
-
-
-def _embed(gate: np.ndarray, gate_qubits: tuple[int, ...], support: tuple[int, ...]) -> np.ndarray:
-    """Lift a gate unitary onto the full Hilbert space of ``support``
-    (sorted qubit ids, first id most significant)."""
-    n = len(support)
-    positions = [support.index(q) for q in gate_qubits]
-    k = len(gate_qubits)
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
-        sub_in = 0
-        for pos in positions:
-            sub_in = (sub_in << 1) | bits[pos]
-        for sub_out in range(1 << k):
-            amp = gate[sub_out, sub_in]
-            if amp == 0:
-                continue
-            new_bits = list(bits)
-            for j, pos in enumerate(positions):
-                new_bits[pos] = (sub_out >> (k - 1 - j)) & 1
-            row = 0
-            for bit in new_bits:
-                row = (row << 1) | bit
-            out[row, col] = amp
-    return out
-
-
-def commutes_matrix_oracle(a: Operation, b: Operation, *, tol: float = 1e-9) -> bool:
-    """Decide commutation numerically: embed both unitaries on their union
-    support and test whether the commutator's max-norm is within ``tol``.
-
-    Supports the gate set with known matrices (h, x, z, s, t, u1, u2, u3,
-    cx) and union supports of at most 3 qubits.
-    """
-    support = tuple(sorted(set(a.qubits) | set(b.qubits)))
-    if len(support) > 3:
-        raise ValueError(f"combined support of {len(support)} qubits exceeds the 3-qubit limit")
-    mat_a = _embed(_gate_matrix(a), a.qubits, support)
-    mat_b = _embed(_gate_matrix(b), b.qubits, support)
-    return float(np.max(np.abs(mat_a @ mat_b - mat_b @ mat_a))) <= tol

@@ -5,7 +5,8 @@ pair of operations sharing a qubit, and the extended DAG, which drops the
 order between consecutive commuting operations on each qubit. On top of a
 conjunctive DAG, a disjunctive graph adds the unordered pairs whose relative
 order a scheduler is free to choose; three generation policies of different
-tightness are available.
+tightness are available. One kernel, :func:`longest_paths`, computes the
+topological order, longest paths and reachability of any such graph.
 """
 
 from __future__ import annotations
@@ -15,9 +16,87 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
+from typing import Iterable, NamedTuple, Sequence
 
 from .circuit import Circuit
 from .commutation import CommutationRuleSet, commutes
+
+
+class CycleError(ValueError):
+    """A directed cycle makes the requested ordering unschedulable."""
+
+    def __init__(self, message: str, cycle: Sequence[int] = ()) -> None:
+        super().__init__(message)
+        self.cycle = tuple(cycle)
+
+
+class Paths(NamedTuple):
+    """A topological order; per node its head (longest path into it, so its
+    earliest start) and tail (longest path out of it, its own duration
+    included); and, when asked for, per node a bitset of the nodes it
+    reaches."""
+
+    order: list[int]
+    heads: list[int]
+    tails: list[int]
+    reach: list[int] | None
+
+
+def longest_paths(
+    successors: Sequence[Sequence[int]],
+    durations: Sequence[int],
+    arcs: Iterable[tuple[int, int]] = (),
+    *,
+    reach: bool = False,
+) -> Paths:
+    """Order, heads, tails and (with ``reach``) reachability of the digraph
+    in which node u has an arc to each node of ``successors[u]``, plus the
+    extra ``arcs``, from one Kahn pass. Arcs may point against index order;
+    node u delays each successor by ``durations[u]``. Raises
+    :class:`CycleError` naming a cycle if the arcs are not acyclic."""
+    num_ops = len(successors)
+    succs = [list(out) for out in successors]
+    for u, v in arcs:
+        succs[u].append(v)
+    indegree = [0] * num_ops
+    for out in succs:
+        for v in out:
+            indegree[v] += 1
+    order = [v for v in range(num_ops) if not indegree[v]]
+    heads = [0] * num_ops
+    for u in order:  # the loop also visits the nodes it appends
+        finish = heads[u] + durations[u]
+        for v in succs[u]:
+            if heads[v] < finish:
+                heads[v] = finish
+            indegree[v] -= 1
+            if not indegree[v]:
+                order.append(v)
+    if len(order) < num_ops:
+        # Every node left has a predecessor left, so walking predecessors
+        # from one of them repeats a node; the walk between is a cycle.
+        pred = {v: u for u, out in enumerate(succs) if indegree[u] for v in out if indegree[v]}
+        walk: dict[int, int] = {}  # node -> step, in walk order
+        v = min(pred)
+        while v not in walk:
+            walk[v] = len(walk)
+            v = pred[v]
+        cycle = list(walk)[walk[v]:][::-1]
+        cycle.append(cycle[0])
+        raise CycleError("cycle detected: " + " -> ".join(map(str, cycle)), cycle=cycle)
+    tails = [0] * num_ops
+    bits = [0] * num_ops if reach else None
+    for u in reversed(order):
+        tail = mask = 0
+        for v in succs[u]:
+            if tails[v] > tail:
+                tail = tails[v]
+            if reach:
+                mask |= (1 << v) | bits[v]
+        tails[u] = durations[u] + tail
+        if reach:
+            bits[u] = mask
+    return Paths(order, heads, tails, bits)
 
 
 @dataclass(frozen=True)
@@ -57,13 +136,7 @@ class DependencyDag:
     def reachable(self) -> tuple[int, ...]:
         """Per-node reachability bitsets: bit j of entry i is set iff a
         directed path i -> j exists."""
-        reach = [0] * self.num_ops
-        for u in reversed(range(self.num_ops)):
-            mask = 0
-            for v in self.successors[u]:
-                mask |= (1 << v) | reach[v]
-            reach[u] = mask
-        return tuple(reach)
+        return tuple(longest_paths(self.successors, (0,) * self.num_ops, reach=True).reach)
 
     def has_path(self, i: int, j: int) -> bool:
         return bool(self.reachable[i] >> j & 1)

@@ -11,33 +11,27 @@ can be exported in CPLEX LP format for external mixed-integer solvers.
 
 from __future__ import annotations
 
-import graphlib
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .depgraph import DisjunctiveGraph
-from .schedulers import CycleError, Orientation, Schedule, heft, longest_path_starts, semi_active
+from .depgraph import CycleError, DisjunctiveGraph, longest_paths
+from .schedulers import Orientation, Schedule, heft, semi_active
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search limits: wall-clock budget in seconds, the largest pair count
-    the brute-force enumerator will accept, and the branching strategy
-    identifier (only "critical_path" is implemented)."""
+    """Search limits: wall-clock budget in seconds and the largest pair count
+    the brute-force enumerator will accept."""
 
     time_limit: float = 10.0
     bruteforce_cap: int = 20
-    branching: str = "critical_path"
 
     def __post_init__(self) -> None:
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
         if self.bruteforce_cap < 0:
             raise ValueError("bruteforce_cap must be non-negative")
-        if self.branching != "critical_path":
-            raise ValueError(f"unknown branching strategy {self.branching!r}")
 
 
 @dataclass(frozen=True)
@@ -54,39 +48,6 @@ class SolveResult:
 
 class _TimeLimit(Exception):
     pass
-
-
-def _reach_bitsets(num_ops: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Reachability bitsets of an acyclic arc set (arcs may point against
-    source order, so a real topological order is computed)."""
-    preds: dict[int, list[int]] = {v: [] for v in range(num_ops)}
-    succs: list[list[int]] = [[] for _ in range(num_ops)]
-    for u, v in edges:
-        preds[v].append(u)
-        succs[u].append(v)
-    order = list(graphlib.TopologicalSorter(preds).static_order())
-    reach = [0] * num_ops
-    for u in reversed(order):
-        mask = 0
-        for v in succs[u]:
-            mask |= (1 << v) | reach[v]
-        reach[u] = mask
-    return reach
-
-
-def _tails(num_ops: int, edges: Iterable[tuple[int, int]], durations: Sequence[int]) -> list[int]:
-    """Longest path from each node to any sink, including the node's own
-    duration."""
-    preds: dict[int, list[int]] = {v: [] for v in range(num_ops)}
-    succs: list[list[int]] = [[] for _ in range(num_ops)]
-    for u, v in edges:
-        preds[v].append(u)
-        succs[u].append(v)
-    order = list(graphlib.TopologicalSorter(preds).static_order())
-    tails = [0] * num_ops
-    for u in reversed(order):
-        tails[u] = durations[u] + max((tails[v] for v in succs[u]), default=0)
-    return tails
 
 
 def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -107,7 +68,7 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     deadline = t0 + cfg.time_limit
     n = g.num_ops
     durations = g.durations
-    cedges = list(g.dag.edges)
+    successors = g.dag.successors
     pairs = g.sorted_pairs
     best = heft(g)
     best_makespan = best.makespan
@@ -135,10 +96,11 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
         if time.perf_counter() > deadline:
             raise _TimeLimit
         # Propagate to a fixpoint: a path between a pair's endpoints forces
-        # its direction, and new arcs can force further pairs.
+        # its direction, and new arcs can force further pairs. The last pass,
+        # which forces nothing, describes the node's graph.
         while True:
-            arcs = cedges + list(fixed.values())
-            reach = _reach_bitsets(n, arcs)
+            paths = longest_paths(successors, durations, fixed.values(), reach=True)
+            reach = paths.reach
             forced = False
             for idx, (k, l) in enumerate(pairs):
                 if idx in fixed:
@@ -151,18 +113,15 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
                     forced = True
             if not forced:
                 break
-        arcs = cedges + list(fixed.values())
-        starts = longest_path_starts(n, arcs, durations)
-        bound = max((starts[i] + durations[i] for i in range(n)), default=0)
+        heads, tails = paths.heads, paths.tails
+        bound = max(tails, default=0)
         if bound >= best_makespan:
             return None
         if len(fixed) == len(pairs):
-            schedule = semi_active(g, Orientation(tuple(fixed[i] for i in range(len(pairs)))))
-            if schedule.makespan < best_makespan:
-                best, best_makespan = schedule, schedule.makespan
+            # All pairs oriented: the heads are the semi-active schedule.
+            best, best_makespan = Schedule.from_starts(heads, durations), bound
             return None
-        tails = _tails(n, arcs, durations)
-        critical = {v for v in range(n) if starts[v] + tails[v] == bound}
+        critical = {v for v in range(n) if heads[v] + tails[v] == bound}
         choice = next(
             (
                 idx

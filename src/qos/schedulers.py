@@ -10,23 +10,15 @@ scheduler with an insertion-based slot policy.
 
 from __future__ import annotations
 
-import graphlib
 import json
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .circuit import Circuit, CircuitError
-from .depgraph import DependencyDag, DisjunctiveGraph
-
-
-class CycleError(ValueError):
-    """A directed cycle makes the requested ordering unschedulable."""
-
-    def __init__(self, message: str, cycle: Sequence[int] = ()) -> None:
-        super().__init__(message)
-        self.cycle = tuple(cycle)
+from .depgraph import CycleError  # noqa: F401  (raised by semi_active)
+from .depgraph import DependencyDag, DisjunctiveGraph, longest_paths
 
 
 @dataclass(frozen=True)
@@ -116,37 +108,13 @@ def validate(circuit: Circuit, dag: DependencyDag, schedule: Schedule) -> list[V
     return violations
 
 
-def longest_path_starts(
-    num_ops: int, edges: Iterable[tuple[int, int]], durations: Sequence[int]
-) -> list[int]:
-    """Earliest start times under the given precedence arcs: the weight of
-    the longest incoming path. Raises :class:`CycleError` naming a cycle if
-    the arcs are not acyclic."""
-    preds: dict[int, list[int]] = {v: [] for v in range(num_ops)}
-    for u, v in edges:
-        preds[v].append(u)
-    try:
-        order = list(graphlib.TopologicalSorter(preds).static_order())
-    except graphlib.CycleError as exc:
-        cycle = exc.args[1]
-        raise CycleError(
-            "cycle detected: " + " -> ".join(map(str, cycle)), cycle=cycle
-        ) from exc
-    starts = [0] * num_ops
-    for v in order:
-        for u in preds[v]:
-            starts[v] = max(starts[v], starts[u] + durations[u])
-    return starts
-
-
 def semi_active(g: DisjunctiveGraph, orientation: Orientation) -> Schedule:
     """Evaluate a total orientation: every operation starts as early as its
     incoming conjunctive edges and oriented pairs allow (longest path)."""
     covered = sorted(tuple(sorted(arc)) for arc in orientation.arcs)
     if covered != list(g.sorted_pairs):
         raise ValueError("orientation does not cover exactly the disjunctive pairs")
-    arcs = list(g.dag.edges) + list(orientation.arcs)
-    starts = longest_path_starts(g.num_ops, arcs, g.durations)
+    starts = longest_paths(g.dag.successors, g.durations, orientation.arcs).heads
     return Schedule.from_starts(starts, g.durations)
 
 
@@ -191,10 +159,7 @@ def upward_rank(g: DisjunctiveGraph) -> tuple[int, ...]:
     """Priority of each operation: its duration plus the largest rank among
     its conjunctive successors; exit operations rank at their own duration.
     Disjunctive pairs do not contribute."""
-    ranks = [0] * g.num_ops
-    for u in reversed(range(g.num_ops)):  # index order is topological
-        ranks[u] = g.durations[u] + max((ranks[v] for v in g.dag.successors[u]), default=0)
-    return tuple(ranks)
+    return tuple(longest_paths(g.dag.successors, g.durations).tails)
 
 
 def _earliest_slot(intervals: list[tuple[int, int]], ready: int, duration: int) -> int:
@@ -267,11 +232,13 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitError(f"invalid schedule JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "starts" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("starts"), list):
         raise CircuitError("schedule document must be an object with a 'starts' array")
     n = len(circuit.ops)
     starts: list[int | None] = [None] * n
     for entry in doc["starts"]:
+        if not isinstance(entry, dict):
+            raise CircuitError(f"schedule entry {entry!r} is not an object")
         idx = entry.get("op")
         if not isinstance(idx, int) or not 0 <= idx < n:
             raise CircuitError(f"schedule entry has bad op index {idx!r}")

@@ -16,9 +16,10 @@ from decimal import Decimal
 import pytest
 
 from helpers import fig2_circuit
+from oracle import commutes_matrix_oracle
 from qos.circuit import Operation, circuit_to_json
 from qos.cli import improvement_percent, main
-from qos.commutation import CommutationRuleSet, commutes, commutes_matrix_oracle
+from qos.commutation import CommutationRuleSet, commutes
 from qos.depgraph import (
     DisjunctiveEdgeMode,
     build_disjunctive_graph,

@@ -284,3 +284,39 @@ class TestCliCommands:
         assert main(["compare", str(path)]) == 0
         out = capsys.readouterr().out
         assert "barr" in out and " 3 " in out.replace("\n", " ")
+
+
+class TestCliErrors:
+    def test_compare_and_schedule_agree_on_duration_flags(self, fig2_qasm_file, tmp_path, capsys):
+        table = tmp_path / "durations.json"
+        table.write_text(json.dumps({"defaults": {"cx": 5}}), encoding="utf-8")
+        flags = ["--durations", str(table), "--default-duration", "3"]
+        assert main(["schedule", fig2_qasm_file, "--method", "asap", "--dag", "standard", *flags]) == 0
+        std = json.loads(capsys.readouterr().out)["makespan"]
+        assert main(["compare", fig2_qasm_file, "--csv", *flags]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert int(row[3]) == std == 11
+
+    def test_output_into_missing_directory(self, fig2_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert main(["parse", fig2_file, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qos: error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,flag,doc",
+        [
+            ("validate", "--schedule", {"starts": 5}),
+            ("validate", "--schedule", {"starts": [5]}),
+            ("schedule", "--durations", {"defaults": [1]}),
+            ("schedule", "--durations", {"exact": [{"name": "h", "qubits": 1, "duration": 2}]}),
+        ],
+    )
+    def test_malformed_document_shapes(self, fig2_file, tmp_path, capsys, command, flag, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, fig2_file, flag, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qos: error: ")
+        assert "Traceback" not in err

@@ -2,20 +2,21 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qos
 from helpers import PARAM_COUNT
+from oracle import commutes_matrix_oracle
 from qos.circuit import Operation
-from qos.commutation import (
-    CommutationRule,
-    CommutationRuleSet,
-    commutes,
-    commutes_matrix_oracle,
-)
+from qos.commutation import CommutationRule, CommutationRuleSet, commutes
 
 
 def op(name, qubits, params=(), index=0):
@@ -163,3 +164,13 @@ def test_symmetry(seed, subset):
     a, b = _random_op(rng, 0), _random_op(rng, 1)
     rules = CommutationRuleSet(subset)
     assert commutes(a, b, rules) == commutes(b, a, rules)
+
+
+def test_import_leaves_numpy_out():
+    """numpy serves only the test oracle; the package must not load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qos.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qos; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

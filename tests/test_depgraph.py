@@ -5,11 +5,14 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import circuits, fig2_circuit
+from oracle import reference_paths
 from qos.circuit import Circuit
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
+    CycleError,
     DependencyDag,
     DisjunctiveEdgeMode,
     DisjunctiveGraph,
@@ -17,6 +20,7 @@ from qos.depgraph import (
     build_extended_dag,
     build_standard_dag,
     export_dot,
+    longest_paths,
 )
 
 DEFAULT = CommutationRuleSet.default()
@@ -204,6 +208,60 @@ def test_builders_produce_topologically_consistent_dags(circuit):
         preds = {v: [u for u, w in dag.edges if w == v] for v in range(dag.num_ops)}
         order = list(graphlib.TopologicalSorter(preds).static_order())
         assert len(order) == dag.num_ops
+
+
+@st.composite
+def dags(draw, max_nodes: int = 12):
+    """Random DAGs whose topological order is a random permutation of the
+    node ids, so arcs often point against index order."""
+    n = draw(st.integers(0, max_nodes))
+    rank = draw(st.permutations(range(n)))
+    candidates = [(rank[i], rank[j]) for i, j in combinations(range(n), 2)]
+    arcs = draw(st.lists(st.sampled_from(candidates), max_size=30)) if candidates else []
+    durations = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    return n, arcs, durations
+
+
+class TestLongestPaths:
+    @settings(max_examples=200)
+    @given(dags())
+    def test_matches_graphlib_reference(self, dag):
+        n, arcs, durations = dag
+        successors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in arcs[::2]:
+            successors[u].append(v)
+        paths = longest_paths(successors, durations, arcs[1::2], reach=True)
+        assert sorted(paths.order) == list(range(n))
+        position = {v: i for i, v in enumerate(paths.order)}
+        assert all(position[u] < position[v] for u, v in arcs)
+        heads, tails, reach = reference_paths(n, arcs, durations)
+        assert (paths.heads, paths.tails, paths.reach) == (heads, tails, reach)
+
+    def test_reach_only_when_asked(self):
+        assert longest_paths([(), (0,)], [3, 4]) == ([1, 0], [4, 0], [3, 7], None)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16),
+            )
+        )
+    )
+    def test_cycles_are_named_by_real_arcs(self, graph):
+        n, arcs = graph
+        try:
+            reference_paths(n, arcs, [1] * n)
+        except graphlib.CycleError:
+            with pytest.raises(CycleError) as err:
+                longest_paths([()] * n, [1] * n, arcs)
+            cycle = err.value.cycle
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+            assert len(set(cycle)) == len(cycle) - 1
+            assert all(arc in arcs for arc in zip(cycle, cycle[1:]))
+        else:
+            longest_paths([()] * n, [1] * n, arcs)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from qos.depgraph import (
     build_disjunctive_graph,
     build_extended_dag,
     build_standard_dag,
+    longest_paths,
 )
 from qos.exact import SolverConfig, export_mip_lp, solve_bnb, solve_bruteforce
 from qos.schedulers import (
@@ -20,7 +21,6 @@ from qos.schedulers import (
     Orientation,
     asap,
     heft,
-    longest_path_starts,
     semi_active,
     validate,
 )
@@ -107,8 +107,6 @@ class TestBranchAndBound:
             SolverConfig(time_limit=0)
         with pytest.raises(ValueError):
             SolverConfig(bruteforce_cap=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(branching="depth_first")
 
 
 class TestBruteforce:
@@ -151,10 +149,9 @@ def test_lower_bound_never_exceeds_best_completion():
         pairs = graph.sorted_pairs
         if not 1 <= len(pairs) <= 10:
             continue
-        cedges = list(graph.dag.edges)
         for k in range(len(pairs) + 1):
             fixed = [tuple(p) for p in pairs[:k]]
-            starts = longest_path_starts(graph.num_ops, cedges + fixed, graph.durations)
+            starts = longest_paths(graph.dag.successors, graph.durations, fixed).heads
             bound = max(
                 (s + d for s, d in zip(starts, graph.durations)), default=0
             )
