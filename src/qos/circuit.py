@@ -95,6 +95,9 @@ class Operation:
             nparams = GATE_PARAMS.get(self.name, 0)
             if len(self.params) != nparams:
                 raise CircuitError(f"{where}: expects {nparams} parameter(s), got {len(self.params)}")
+        for p in self.params:
+            if not math.isfinite(p):
+                raise CircuitError(f"{where}: angle {p!r} is not finite")
         if isinstance(self.duration, bool) or not isinstance(self.duration, int):
             raise CircuitError(f"{where}: duration must be an integer dt count")
         if self.duration < 0:
@@ -277,12 +280,16 @@ def parse_json_circuit(text: str) -> Circuit:
         ):
             raise CircuitError(f"op {i} ({name}): params must be an array of numbers")
         duration = _as_duration(entry.get("duration", 0), f"op {i} ({name})")
+        try:
+            angles = tuple(float(p) for p in params)
+        except OverflowError as exc:
+            raise CircuitError(f"op {i} ({name}): angle is not finite: {exc}") from exc
         ops.append(
             Operation(
                 index=i,
                 name=name.lower(),
                 qubits=tuple(qubits),
-                params=tuple(float(p) for p in params),
+                params=angles,
                 duration=duration,
             )
         )
@@ -307,7 +314,7 @@ def circuit_to_json(circuit: Circuit, *, indent: int | None = 2) -> str:
 # --- OpenQASM 2.0 subset ------------------------------------------------------
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^)]*)\))?\s*(.*)$", re.DOTALL)
+_GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(.*)$", re.DOTALL)
 _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$")
 
 _UNSUPPORTED_KEYWORDS = frozenset({"creg", "measure", "reset", "if", "gate", "opaque"})
@@ -368,8 +375,25 @@ def _eval_angle(expr: str, line: int) -> float:
 
     try:
         return walk(ast.parse(expr.strip(), mode="eval").body)
-    except (SyntaxError, ValueError, ZeroDivisionError) as exc:
+    except (SyntaxError, ValueError, ArithmeticError) as exc:
         raise CircuitError(f"line {line}: bad parameter expression {expr.strip()!r}: {exc}") from exc
+
+
+def _split_params(rest: str, line: int) -> tuple[str | None, str]:
+    """Split what follows a gate name into the text inside its parameter
+    parentheses (None when it has none) and the operand text after them.
+    The closing parenthesis is found by depth, so angles may nest them."""
+    if not rest.startswith("("):
+        return None, rest
+    depth = 0
+    for pos, ch in enumerate(rest):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if not depth:
+                return rest[1:pos], rest[pos + 1:]
+    raise CircuitError(f"line {line}: unbalanced parentheses in {rest!r}")
 
 
 def parse_qasm_subset(text: str) -> Circuit:
@@ -406,11 +430,12 @@ def parse_qasm_subset(text: str) -> Circuit:
             raise CircuitError(f"line {line}: unsupported gate {name!r}")
         if reg_name is None:
             raise CircuitError(f"line {line}: gate statement before qreg declaration")
+        params_text, operands_text = _split_params(gate.group(2), line)
         params: tuple[float, ...] = ()
-        if gate.group(2) is not None:
-            raw_params = [p for p in gate.group(2).split(",") if p.strip()]
+        if params_text is not None:
+            raw_params = [p for p in params_text.split(",") if p.strip()]
             params = tuple(_eval_angle(p, line) for p in raw_params)
-        operands_text = gate.group(3).strip()
+        operands_text = operands_text.strip()
         if not operands_text:
             raise CircuitError(f"line {line}: {name} needs qubit operands")
         qubits: list[int] = []

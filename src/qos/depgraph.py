@@ -121,16 +121,16 @@ class DependencyDag:
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for i, j in self.sorted_edges:
+        for i, j in self.edges:
             out[i].append(j)
-        return tuple(tuple(s) for s in out)
+        return tuple(tuple(sorted(s)) for s in out)
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for i, j in self.sorted_edges:
+        for i, j in self.edges:
             out[j].append(i)
-        return tuple(tuple(s) for s in out)
+        return tuple(tuple(sorted(s)) for s in out)
 
     @cached_property
     def reachable(self) -> tuple[int, ...]:

@@ -11,9 +11,10 @@ scheduler with an insertion-based slot policy.
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .circuit import Circuit, CircuitError
@@ -127,6 +128,13 @@ def asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
     times and the current free time of each acting qubit. Qubits are only
     appended to, never back-filled, so no operation is inserted into a gap.
     On a standard DAG this reproduces the unique semi-active schedule.
+
+    Eligible operations wait in a heap keyed by a start computed when they
+    were pushed. A start can only grow (an eligible op's ready time is fixed
+    and qubit free times never decrease), so a popped key that is still
+    current is the true minimum, and a stale one goes back with its new
+    value: O(e + (n + r) log n) for n ops, e DAG edges and r stale pops,
+    rather than a scan of every eligible operation per step.
     """
     n = len(circuit.ops)
     if dag.num_ops != n:
@@ -135,23 +143,26 @@ def asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
     ready = [0] * n
     qubit_free = [0] * circuit.num_qubits
     starts = [0] * n
-    eligible = {i for i in range(n) if missing[i] == 0}
-    while eligible:
-        def candidate(i: int) -> int:
-            return max(ready[i], max(qubit_free[q] for q in circuit.ops[i].qubits))
 
-        chosen = min(eligible, key=lambda i: (candidate(i), i))
+    def candidate(i: int) -> int:
+        return max(ready[i], max(qubit_free[q] for q in circuit.ops[i].qubits))
+
+    heap = [(0, i) for i in range(n) if missing[i] == 0]  # nothing placed yet
+    while heap:
+        key, chosen = heappop(heap)
         start = candidate(chosen)
+        if start > key:
+            heappush(heap, (start, chosen))
+            continue
         finish = start + circuit.ops[chosen].duration
         starts[chosen] = start
         for q in circuit.ops[chosen].qubits:
             qubit_free[q] = finish
-        eligible.remove(chosen)
         for succ in dag.successors[chosen]:
             ready[succ] = max(ready[succ], finish)
             missing[succ] -= 1
             if missing[succ] == 0:
-                eligible.add(succ)
+                heappush(heap, (candidate(succ), succ))
     return Schedule.from_starts(starts, [op.duration for op in circuit.ops])
 
 
@@ -162,17 +173,6 @@ def upward_rank(g: DisjunctiveGraph) -> tuple[int, ...]:
     return tuple(longest_paths(g.dag.successors, g.durations).tails)
 
 
-def _earliest_slot(intervals: list[tuple[int, int]], ready: int, duration: int) -> int:
-    """Earliest t >= ready such that [t, t+duration) avoids every busy
-    interval. A gap exactly as long as the operation is usable."""
-    t = ready
-    for start, end in intervals:
-        if t + duration <= start:
-            break
-        t = max(t, end)
-    return t
-
-
 def heft(g: DisjunctiveGraph) -> Schedule:
     """List scheduling driven by upward rank with an insertion-based policy.
 
@@ -180,23 +180,44 @@ def heft(g: DisjunctiveGraph) -> Schedule:
     index, which keeps conjunctive predecessors ahead of their successors).
     Each one goes into the earliest idle slot, simultaneously free on all
     its acting qubits, that starts at or after its ready time; placements
-    may land in gaps between earlier placements. Ready times propagate to
-    conjunctive successors only; same-qubit contention is resolved purely by
-    slot occupancy.
+    may land in gaps between earlier placements. A gap exactly as long as
+    the operation is usable, and a zero-length operation may sit on the
+    boundary of a busy interval but never strictly inside one. Ready times
+    propagate to conjunctive successors only; same-qubit contention is
+    resolved purely by slot occupancy.
+
+    Each qubit keeps its disjoint busy intervals as two parallel sorted
+    lists of starts and ends. A slot search bisects each acting qubit's ends
+    at the candidate start and steps over the intervals the operation would
+    hit, repeating over the qubits until none moves the start. A placement
+    costs O(log b) per qubit plus the intervals stepped over and one list
+    insert, for b intervals on the qubit, rather than a merge and sort of
+    every interval on its qubits.
     """
     ranks = upward_rank(g)
     order = sorted(range(g.num_ops), key=lambda i: (-ranks[i], i))
     ready = [0] * g.num_ops
-    busy: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    busy: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     starts = [0] * g.num_ops
     for u in order:
         duration = g.durations[u]
-        merged = sorted(iv for q in g.qubits[u] for iv in busy[q])
-        start = _earliest_slot(merged, ready[u], duration)
+        lists = [busy[q] for q in g.qubits[u]]
+        start = ready[u]
+        moved = True
+        while moved:
+            moved = False
+            for begins, ends in lists:
+                k = bisect_right(ends, start)  # first interval ending after start
+                while k < len(ends) and start + duration > begins[k]:
+                    start = ends[k]
+                    k += 1
+                    moved = True
         starts[u] = start
         if duration:
-            for q in g.qubits[u]:
-                insort(busy[q], (start, start + duration))
+            for begins, ends in lists:
+                k = bisect_right(ends, start)
+                begins.insert(k, start)
+                ends.insert(k, start + duration)
         for v in g.dag.successors[u]:
             ready[v] = max(ready[v], start + duration)
     return Schedule.from_starts(starts, g.durations)

@@ -2,18 +2,24 @@
 
 A dense-matrix commutator check over the known gate unitaries is the
 independent oracle for the commutation rule table; ``graphlib`` gives the
-reference topological order for the longest-path kernel. Neither is on the
-package's import path.
+reference topological order for the longest-path kernel; the quadratic
+list schedulers below, which merge and scan every busy interval or every
+ready operation at each step, are the reference for ``heft`` and ``asap``.
+None of them is on the package's import path.
 """
 
 from __future__ import annotations
 
 import graphlib
 import math
+from bisect import insort
+from collections import defaultdict
 
 import numpy as np
 
-from qos.circuit import Operation
+from qos.circuit import Circuit, Operation
+from qos.depgraph import DependencyDag, DisjunctiveGraph
+from qos.schedulers import Schedule, upward_rank
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -124,3 +130,66 @@ def reference_paths(
                 stack.extend(succs[v])
         reach.append(sum(1 << v for v in seen))
     return heads, tails, reach
+
+
+def reference_asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
+    """Greedy earliest-start scheduling by a ``min`` scan over every
+    eligible operation at each step (ties by source index)."""
+    n = len(circuit.ops)
+    if dag.num_ops != n:
+        raise ValueError(f"DAG has {dag.num_ops} nodes but the circuit has {n} ops")
+    missing = [len(dag.predecessors[i]) for i in range(n)]
+    ready = [0] * n
+    qubit_free = [0] * circuit.num_qubits
+    starts = [0] * n
+    eligible = {i for i in range(n) if missing[i] == 0}
+    while eligible:
+        def candidate(i: int) -> int:
+            return max(ready[i], max(qubit_free[q] for q in circuit.ops[i].qubits))
+
+        chosen = min(eligible, key=lambda i: (candidate(i), i))
+        start = candidate(chosen)
+        finish = start + circuit.ops[chosen].duration
+        starts[chosen] = start
+        for q in circuit.ops[chosen].qubits:
+            qubit_free[q] = finish
+        eligible.remove(chosen)
+        for succ in dag.successors[chosen]:
+            ready[succ] = max(ready[succ], finish)
+            missing[succ] -= 1
+            if missing[succ] == 0:
+                eligible.add(succ)
+    return Schedule.from_starts(starts, [op.duration for op in circuit.ops])
+
+
+def _earliest_slot(intervals: list[tuple[int, int]], ready: int, duration: int) -> int:
+    """Earliest t >= ready such that [t, t+duration) avoids every busy
+    interval. A gap exactly as long as the operation is usable."""
+    t = ready
+    for start, end in intervals:
+        if t + duration <= start:
+            break
+        t = max(t, end)
+    return t
+
+
+def reference_heft(g: DisjunctiveGraph) -> Schedule:
+    """Rank-ordered insertion list scheduling that, for every placement,
+    merges and sorts all busy intervals on the op's qubits and scans them
+    from the ready time."""
+    ranks = upward_rank(g)
+    order = sorted(range(g.num_ops), key=lambda i: (-ranks[i], i))
+    ready = [0] * g.num_ops
+    busy: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    starts = [0] * g.num_ops
+    for u in order:
+        duration = g.durations[u]
+        merged = sorted(iv for q in g.qubits[u] for iv in busy[q])
+        start = _earliest_slot(merged, ready[u], duration)
+        starts[u] = start
+        if duration:
+            for q in g.qubits[u]:
+                insort(busy[q], (start, start + duration))
+        for v in g.dag.successors[u]:
+            ready[v] = max(ready[v], start + duration)
+    return Schedule.from_starts(starts, g.durations)

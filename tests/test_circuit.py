@@ -74,6 +74,16 @@ class TestParseJson:
         with pytest.raises(CircuitError, match="fractional duration"):
             parse_json_circuit(doc)
 
+    @pytest.mark.parametrize(
+        "angle",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "10**400"],
+    )
+    def test_non_finite_angle_rejected(self, angle):
+        doc = '{"num_qubits": 1, "ops": [{"name": "u1", "qubits": [0], "params": [%s]}]}' % angle
+        with pytest.raises(CircuitError, match="not finite"):
+            parse_json_circuit(doc)
+
     def test_unknown_gate_accepted_as_opaque(self):
         doc = '{"num_qubits": 3, "ops": [{"name": "swap", "qubits": [0, 2], "duration": 7}]}'
         op = parse_json_circuit(doc).ops[0]
@@ -112,6 +122,25 @@ class TestParseQasm:
         circuit = parse_qasm_subset("qreg q[1]; u1(pi/2) q[0]; u2(-pi/4, 2*pi) q[0];")
         assert circuit.ops[0].params == (math.pi / 2,)
         assert circuit.ops[1].params == (-math.pi / 4, 2 * math.pi)
+
+    def test_nested_parentheses_in_angles(self):
+        circuit = parse_qasm_subset("qreg q[1]; u1((pi)/2) q[0]; u3((pi)/2, -(pi/4), 0) q[0];")
+        assert circuit.ops[0].params == (math.pi / 2,)
+        assert circuit.ops[1].params == (math.pi / 2, -math.pi / 4, 0.0)
+        assert circuit.ops[1].qubits == (0,)
+
+    def test_unbalanced_parentheses_rejected(self):
+        with pytest.raises(CircuitError, match="line 1: unbalanced parentheses"):
+            parse_qasm_subset("qreg q[1]; u1((pi/2) q[0];")
+
+    @pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e999-1e999", "1e300*1e300"])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(CircuitError, match="line 2: .*not finite"):
+            parse_qasm_subset(f"qreg q[1];\nu1({angle}) q[0];")
+
+    def test_integer_literal_beyond_float_range_rejected(self):
+        with pytest.raises(CircuitError, match="line 1: bad parameter expression"):
+            parse_qasm_subset("qreg q[1]; u1(1" + "0" * 400 + ") q[0];")
 
     def test_barrier_listed_and_broadcast(self):
         circuit = parse_qasm_subset("qreg q[3]; barrier q[0],q[2]; barrier q;")

@@ -320,3 +320,20 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("qos: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "suffix,text",
+        [
+            (".qasm", "OPENQASM 2.0;\nqreg q[1];\nu1(1e999) q[0];\n"),
+            (".qasm", "OPENQASM 2.0;\nqreg q[1];\nu1(1e999-1e999) q[0];\n"),
+            (".json", '{"num_qubits": 1, "ops": [{"name": "u1", "qubits": [0], "params": [NaN]}]}'),
+        ],
+        ids=["qasm-inf", "qasm-nan", "json-nan"],
+    )
+    def test_non_finite_angle(self, tmp_path, capsys, suffix, text):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["schedule", str(bad), "--default-duration", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qos: error: ") and "not finite" in err
+        assert "Traceback" not in err

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import circuits, fig2_circuit, random_circuit
+from oracle import reference_asap, reference_heft
 from qos.circuit import Circuit, CircuitError
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
+    DependencyDag,
     DisjunctiveEdgeMode,
+    DisjunctiveGraph,
     build_disjunctive_graph,
     build_extended_dag,
     build_standard_dag,
@@ -40,6 +43,35 @@ def ext_graph(circuit, mode=DisjunctiveEdgeMode.GROUPED):
 def std_graph(circuit, mode=DisjunctiveEdgeMode.GROUPED):
     dag = build_standard_dag(circuit)
     return dag, build_disjunctive_graph(circuit, dag, STANDARD, mode)
+
+
+def bare_graph(ops, edges):
+    """A disjunctive graph with no pairs from ``(qubits, duration)`` per op
+    and explicit conjunctive edges, to pin heft's placement order."""
+    return DisjunctiveGraph(
+        dag=DependencyDag(len(ops), frozenset(edges)),
+        pairs=frozenset(),
+        names=("g",) * len(ops),
+        durations=tuple(d for _, d in ops),
+        qubits=tuple(tuple(q) for q, _ in ops),
+    )
+
+
+# Ops 0-5 leave busy intervals q0: [0, 1), [3, 6) and q1: [0, 2), [4, 5);
+# ops 2 and 4 (on q2, q3) delay ops 3 and 5. All of them reach the 10-dt
+# sink 7 on q9, so heft places them before the 2-qubit op 6 and before any
+# op appended without successors.
+OFFSET_GAPS_OPS = [
+    ((0,), 1),
+    ((1,), 2),
+    ((2,), 3),
+    ((0,), 3),
+    ((3,), 4),
+    ((1,), 1),
+    ((0, 1), 2),
+    ((9,), 10),
+]
+OFFSET_GAPS_EDGES = {(2, 3), (4, 5), (0, 7), (1, 7), (3, 7), (5, 7)}
 
 
 class TestValidate:
@@ -156,6 +188,22 @@ class TestAsap:
         assert graph.pairs == frozenset()
         assert asap(circuit, dag) == semi_active(graph, Orientation(()))
 
+    @settings(max_examples=150)
+    @given(circuits(max_ops=40, max_duration=4))
+    def test_equals_reference_on_both_dags(self, circuit):
+        for dag in (build_standard_dag(circuit), build_extended_dag(circuit, DEFAULT)):
+            assert asap(circuit, dag) == reference_asap(circuit, dag)
+
+    def test_stale_start_is_requeued(self):
+        # Both x ops are eligible at 0; placing the x on q0 pushes the
+        # second one (on q0) to 5, behind the z on q1 that was queued at 0.
+        circuit = Circuit.build(2, [("x", [0], (), 5), ("x", [0], (), 1), ("z", [1], (), 1)])
+        dag = build_extended_dag(circuit, DEFAULT)
+        assert dag.edges == frozenset()
+        schedule = asap(circuit, dag)
+        assert schedule.starts == (0, 5, 0)
+        assert schedule == reference_asap(circuit, dag)
+
 
 class TestUpwardRank:
     def test_fig2_extended(self, fig2):
@@ -215,6 +263,38 @@ class TestHeft:
             circuit = random_circuit(rng)
             dag, graph = ext_graph(circuit)
             assert validate(circuit, dag, heft(graph)) == []
+
+    @settings(max_examples=150)
+    @given(circuits(max_ops=40, max_duration=4))
+    def test_equals_reference_on_both_dags(self, circuit):
+        for _, graph in (std_graph(circuit), ext_graph(circuit)):
+            assert heft(graph) == reference_heft(graph)
+
+    def test_offset_gaps_need_repeated_passes(self):
+        # The 2-dt op 6 fits q0's gap [1, 3) but not q1's busy [0, 2); q1's
+        # gap [2, 4) then runs into q0's [3, 6), so one pass over its qubits
+        # would stop at 2. The first start free on both is 6.
+        graph = bare_graph(OFFSET_GAPS_OPS, OFFSET_GAPS_EDGES)
+        schedule = heft(graph)
+        assert schedule.starts == (0, 0, 0, 3, 0, 4, 6, 6)
+        assert schedule == reference_heft(graph)
+
+    @pytest.mark.parametrize(
+        "delay,start",
+        [
+            (3, 3),  # exactly at the start of q0's [3, 6): allowed
+            (4, 6),  # strictly inside [3, 6): moved to its end
+            (1, 1),  # exactly at the end of [0, 1), in q0's idle gap
+            (6, 6),  # exactly at the end of [3, 6)
+        ],
+    )
+    def test_zero_length_op_on_interval_boundaries(self, delay, start):
+        # A zero-length op on q0 (op 9) readied at ``delay`` by op 8 on q5.
+        ops = OFFSET_GAPS_OPS + [((5,), delay), ((0,), 0)]
+        graph = bare_graph(ops, OFFSET_GAPS_EDGES | {(8, 9)})
+        schedule = heft(graph)
+        assert schedule.starts[9] == start
+        assert schedule == reference_heft(graph)
 
 
 class TestScheduleIO:
