@@ -125,9 +125,7 @@ def run_compare(
                 path, fmt=fmt, durations=durations, default_duration=default_duration
             )
             std = asap(circuit, build_standard_dag(circuit)).makespan
-            graph = build_disjunctive_graph(
-                circuit, build_extended_dag(circuit, rules), rules, mode
-            )
+            graph = _build_graph(circuit, "extended", rules, mode)
             if method == "heft":
                 ext = heft(graph).makespan
             elif method == "bnb":
@@ -304,19 +302,25 @@ def _load(args: argparse.Namespace) -> Circuit:
     )
 
 
-def _build_graph(circuit: Circuit, args: argparse.Namespace, dag_kind: str):
-    rules = (
-        CommutationRuleSet.parse(args.rules)
-        if dag_kind == "extended"
-        else CommutationRuleSet.standard()
-    )
-    dag = (
-        build_extended_dag(circuit, rules)
-        if dag_kind == "extended"
-        else build_standard_dag(circuit)
-    )
-    mode = DisjunctiveEdgeMode(getattr(args, "dmode", "grouped"))
-    return dag, build_disjunctive_graph(circuit, dag, rules, mode)
+def _rules(args: argparse.Namespace, dag_kind: str) -> CommutationRuleSet:
+    """The ``--rules`` set; a standard DAG ignores the flag, unparsed."""
+    if dag_kind == "standard":
+        return CommutationRuleSet.standard()
+    return CommutationRuleSet.parse(args.rules)
+
+
+def _build_dag(circuit: Circuit, dag_kind: str, rules: CommutationRuleSet):
+    if dag_kind == "standard":
+        return build_standard_dag(circuit)
+    return build_extended_dag(circuit, rules)
+
+
+def _build_graph(
+    circuit: Circuit, dag_kind: str, rules: CommutationRuleSet, mode: DisjunctiveEdgeMode
+):
+    """The disjunctive graph over the chosen DAG; ``graph.dag`` is the DAG."""
+    dag = _build_dag(circuit, dag_kind, rules)
+    return build_disjunctive_graph(circuit, dag, dag.rules, mode)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -327,7 +331,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 def _cmd_dag(args: argparse.Namespace) -> int:
     circuit = _load(args)
-    _, graph = _build_graph(circuit, args, args.mode)
+    graph = _build_graph(circuit, args.mode, _rules(args, args.mode), DisjunctiveEdgeMode(args.dmode))
     if args.emit == "dot":
         _emit(export_dot(graph), args.out)
     else:
@@ -342,14 +346,14 @@ def _cmd_dag(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     circuit = _load(args)
-    dag, graph = _build_graph(circuit, args, args.dag)
+    graph = _build_graph(circuit, args.dag, _rules(args, args.dag), DisjunctiveEdgeMode(args.dmode))
     config = SolverConfig(time_limit=args.time_limit)
     if args.method == "asap":
-        schedule = asap(circuit, dag)
+        schedule = asap(circuit, graph.dag)
     elif args.method == "heft":
         schedule = heft(graph)
     elif args.method == "brute":
-        schedule = solve_bruteforce(graph, config).schedule
+        schedule = solve_bruteforce(graph).schedule
     else:
         schedule = solve_bnb(graph, config).schedule
     if args.gantt:
@@ -362,7 +366,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     circuit = _load(args)
     schedule = schedule_from_json(_read_text(args.schedule), circuit)
-    dag, _ = _build_graph(circuit, args, args.dag)
+    dag = _build_dag(circuit, args.dag, _rules(args, args.dag))
     violations = validate(circuit, dag, schedule)
     if violations:
         for violation in violations:
@@ -395,7 +399,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_export_mip(args: argparse.Namespace) -> int:
     circuit = _load(args)
-    _, graph = _build_graph(circuit, args, args.dag)
+    graph = _build_graph(circuit, args.dag, _rules(args, args.dag), DisjunctiveEdgeMode(args.dmode))
     _emit(export_mip_lp(graph), args.out)
     return 0
 

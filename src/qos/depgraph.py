@@ -103,10 +103,14 @@ def longest_paths(
 class DependencyDag:
     """Conjunctive precedence edges ``(i, j)``: op i must finish before op j
     starts. Edges always point forward in source order, so index order is a
-    topological order."""
+    topological order. A DAG from a builder also records the commutation
+    ``rules`` it was built with and its ``groups``: the per-qubit runs of
+    two or more pairwise-commuting ops whose order it leaves free."""
 
     num_ops: int
     edges: frozenset[tuple[int, int]]
+    rules: CommutationRuleSet | None = None
+    groups: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -196,15 +200,25 @@ def _ops_by_qubit(circuit: Circuit) -> dict[int, list[int]]:
     return seq
 
 
-def _commutation_classes(
-    circuit: Circuit, rules: CommutationRuleSet
-) -> dict[int, list[list[int]]]:
-    """Per qubit, partition the operations acting on it into maximal
-    consecutive runs of pairwise-commuting operations. An op joins the
-    current run only if it commutes with every member (commutation is not
-    transitive); otherwise it opens a new run."""
-    classes: dict[int, list[list[int]]] = {}
-    for qubit, indices in _ops_by_qubit(circuit).items():
+def build_standard_dag(circuit: Circuit) -> DependencyDag:
+    """Chain consecutive operations on every qubit; duplicate edges between
+    the same pair (from multi-qubit overlap) collapse to one."""
+    edges: set[tuple[int, int]] = set()
+    for indices in _ops_by_qubit(circuit).values():
+        edges.update(zip(indices, indices[1:]))
+    return DependencyDag(len(circuit.ops), frozenset(edges), CommutationRuleSet.standard())
+
+
+def build_extended_dag(circuit: Circuit, rules: CommutationRuleSet) -> DependencyDag:
+    """Relax the standard DAG using commutation. Per qubit, the ops acting on
+    it are cut into maximal consecutive runs of pairwise-commuting ops: an op
+    joins the current run only if it commutes with every member (commutation
+    is not transitive); otherwise it opens a new run. Only consecutive runs
+    are ordered, with an edge from every member of one run to every member
+    of the next; runs of two or more ops become the DAG's ``groups``."""
+    edges: set[tuple[int, int]] = set()
+    groups: list[tuple[int, ...]] = []
+    for indices in _ops_by_qubit(circuit).values():
         runs: list[list[int]] = []
         for i in indices:
             if runs and all(
@@ -213,28 +227,10 @@ def _commutation_classes(
                 runs[-1].append(i)
             else:
                 runs.append([i])
-        classes[qubit] = runs
-    return classes
-
-
-def build_standard_dag(circuit: Circuit) -> DependencyDag:
-    """Chain consecutive operations on every qubit; duplicate edges between
-    the same pair (from multi-qubit overlap) collapse to one."""
-    edges: set[tuple[int, int]] = set()
-    for indices in _ops_by_qubit(circuit).values():
-        edges.update(zip(indices, indices[1:]))
-    return DependencyDag(len(circuit.ops), frozenset(edges))
-
-
-def build_extended_dag(circuit: Circuit, rules: CommutationRuleSet) -> DependencyDag:
-    """Relax the standard DAG using commutation: on each qubit only
-    consecutive commutation runs are ordered, with an edge from every member
-    of one run to every member of the next."""
-    edges: set[tuple[int, int]] = set()
-    for runs in _commutation_classes(circuit, rules).values():
         for earlier, later in zip(runs, runs[1:]):
             edges.update((i, j) for i in earlier for j in later)
-    return DependencyDag(len(circuit.ops), frozenset(edges))
+        groups.extend(tuple(run) for run in runs if len(run) > 1)
+    return DependencyDag(len(circuit.ops), frozenset(edges), rules, tuple(groups))
 
 
 def build_disjunctive_graph(
@@ -244,25 +240,27 @@ def build_disjunctive_graph(
     mode: DisjunctiveEdgeMode = DisjunctiveEdgeMode.GROUPED,
 ) -> DisjunctiveGraph:
     """Attach disjunctive pairs to a conjunctive DAG built from the same
-    circuit and rules.
+    circuit and rules; raises ``ValueError`` if ``rules`` is not the rule set
+    the DAG records.
 
     Every same-qubit pair ends up either ordered by a conjunctive path or
     present as a disjunctive pair, whatever the mode; pairs that coincide
-    with a direct conjunctive edge are never emitted.
+    with a direct conjunctive edge are never emitted. GROUPED and MINIMAL
+    take their candidates from the DAG's ``groups``.
     """
     if dag.num_ops != len(circuit.ops):
         raise ValueError(
             f"DAG has {dag.num_ops} nodes but the circuit has {len(circuit.ops)} ops"
         )
+    if rules != dag.rules:
+        raise ValueError("the DAG was built with a different commutation rule set")
+    candidates: set[tuple[int, int]] = set()
     if mode is DisjunctiveEdgeMode.REDUNDANT:
-        candidates: set[tuple[int, int]] = set()
         for indices in _ops_by_qubit(circuit).values():
             candidates.update(combinations(indices, 2))
     else:
-        candidates = set()
-        for runs in _commutation_classes(circuit, rules).values():
-            for run in runs:
-                candidates.update(combinations(run, 2))
+        for group in dag.groups:
+            candidates.update(combinations(group, 2))
     pairs = {p for p in candidates if p not in dag.edges}
     if mode is DisjunctiveEdgeMode.MINIMAL:
         pairs = {(k, l) for k, l in pairs if not dag.has_path(k, l)}

@@ -19,19 +19,18 @@ from .depgraph import CycleError, DisjunctiveGraph, longest_paths
 from .schedulers import Orientation, Schedule, heft, semi_active
 
 
+BRUTEFORCE_CAP = 20  # the largest pair count solve_bruteforce accepts
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search limits: wall-clock budget in seconds and the largest pair count
-    the brute-force enumerator will accept."""
+    """Search limit: the branch and bound's wall-clock budget in seconds."""
 
     time_limit: float = 10.0
-    bruteforce_cap: int = 20
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time_limit must be positive")
-        if self.bruteforce_cap < 0:
-            raise ValueError("bruteforce_cap must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -158,16 +157,15 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     return SolveResult(best, best.makespan, optimal, nodes, time.perf_counter() - t0)
 
 
-def solve_bruteforce(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:
+def solve_bruteforce(g: DisjunctiveGraph) -> SolveResult:
     """Enumerate all 2^|pairs| orientations, discard the cyclic ones, and
     keep the best semi-active schedule. Always proves optimality; refuses
-    graphs with more pairs than the configured cap."""
-    cfg = config or SolverConfig()
+    graphs with more than :data:`BRUTEFORCE_CAP` pairs."""
     t0 = time.perf_counter()
     pairs = g.sorted_pairs
-    if len(pairs) > cfg.bruteforce_cap:
+    if len(pairs) > BRUTEFORCE_CAP:
         raise ValueError(
-            f"{len(pairs)} disjunctive pairs exceed the brute-force cap of {cfg.bruteforce_cap}"
+            f"{len(pairs)} disjunctive pairs exceed the brute-force cap of {BRUTEFORCE_CAP}"
         )
     best: Schedule | None = None
     evaluated = 0

@@ -4,8 +4,10 @@ A dense-matrix commutator check over the known gate unitaries is the
 independent oracle for the commutation rule table; ``graphlib`` gives the
 reference topological order for the longest-path kernel; the quadratic
 list schedulers below, which merge and scan every busy interval or every
-ready operation at each step, are the reference for ``heft`` and ``asap``.
-None of them is on the package's import path.
+ready operation at each step, are the reference for ``heft`` and ``asap``;
+a pair builder that partitions each qubit's ops into commuting runs itself
+is the reference for ``build_disjunctive_graph``. None of them is on the
+package's import path.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import graphlib
 import math
 from bisect import insort
 from collections import defaultdict
+from itertools import combinations
 
 import numpy as np
 
 from qos.circuit import Circuit, Operation
-from qos.depgraph import DependencyDag, DisjunctiveGraph
+from qos.commutation import CommutationRuleSet, commutes
+from qos.depgraph import DependencyDag, DisjunctiveEdgeMode, DisjunctiveGraph
 from qos.schedulers import Schedule, upward_rank
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -193,3 +197,55 @@ def reference_heft(g: DisjunctiveGraph) -> Schedule:
         for v in g.dag.successors[u]:
             ready[v] = max(ready[v], start + duration)
     return Schedule.from_starts(starts, g.durations)
+
+
+def _ops_by_qubit(circuit: Circuit) -> dict[int, list[int]]:
+    seq: dict[int, list[int]] = defaultdict(list)
+    for op in circuit.ops:
+        for q in op.qubits:
+            seq[q].append(op.index)
+    return seq
+
+
+def _commutation_classes(
+    circuit: Circuit, rules: CommutationRuleSet
+) -> dict[int, list[list[int]]]:
+    """Per qubit, partition the operations acting on it into maximal
+    consecutive runs of pairwise-commuting operations. An op joins the
+    current run only if it commutes with every member (commutation is not
+    transitive); otherwise it opens a new run."""
+    classes: dict[int, list[list[int]]] = {}
+    for qubit, indices in _ops_by_qubit(circuit).items():
+        runs: list[list[int]] = []
+        for i in indices:
+            if runs and all(
+                commutes(circuit.ops[i], circuit.ops[j], rules) for j in runs[-1]
+            ):
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        classes[qubit] = runs
+    return classes
+
+
+def reference_pairs(
+    circuit: Circuit,
+    dag: DependencyDag,
+    rules: CommutationRuleSet,
+    mode: DisjunctiveEdgeMode,
+) -> set[tuple[int, int]]:
+    """Disjunctive pairs from a fresh commutation partition of the circuit
+    rather than from the groups the DAG records."""
+    if mode is DisjunctiveEdgeMode.REDUNDANT:
+        candidates: set[tuple[int, int]] = set()
+        for indices in _ops_by_qubit(circuit).values():
+            candidates.update(combinations(indices, 2))
+    else:
+        candidates = set()
+        for runs in _commutation_classes(circuit, rules).values():
+            for run in runs:
+                candidates.update(combinations(run, 2))
+    pairs = {p for p in candidates if p not in dag.edges}
+    if mode is DisjunctiveEdgeMode.MINIMAL:
+        pairs = {(k, l) for k, l in pairs if not dag.has_path(k, l)}
+    return pairs

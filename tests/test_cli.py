@@ -321,6 +321,13 @@ class TestCliErrors:
         assert err.startswith("qos: error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["schedule", "compare"])
+    def test_nan_time_limit(self, fig2_file, capsys, command):
+        assert main([command, fig2_file, "--time-limit", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qos: error: ") and "time_limit" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "suffix,text",
         [

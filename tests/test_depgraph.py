@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import circuits, fig2_circuit
-from oracle import reference_paths
+from oracle import reference_pairs, reference_paths
 from qos.circuit import Circuit
-from qos.commutation import CommutationRuleSet
+from qos.commutation import CommutationRule, CommutationRuleSet
 from qos.depgraph import (
     CycleError,
     DependencyDag,
@@ -75,6 +75,16 @@ class TestExtendedDag:
         circuit = Circuit.build(2, [("cx", [0, 1]), ("barrier", [0, 1]), ("cx", [0, 1])])
         assert build_extended_dag(circuit, DEFAULT).edges == {(0, 1), (1, 2)}
 
+    def test_records_rules_and_groups(self, fig2):
+        ext = build_extended_dag(fig2, DEFAULT)
+        assert ext.rules == DEFAULT
+        assert ext.groups == ((1, 2),)
+
+    def test_standard_dag_records_standard_rules_and_no_groups(self, fig2):
+        std = build_standard_dag(fig2)
+        assert std.rules == STANDARD
+        assert std.groups == ()
+
 
 class TestDisjunctiveGraph:
     def test_fig2_extended_grouped(self, fig2):
@@ -94,6 +104,12 @@ class TestDisjunctiveGraph:
         std = build_standard_dag(Circuit.build(1, [("x", [0])]))
         with pytest.raises(ValueError, match="nodes"):
             build_disjunctive_graph(fig2, std, STANDARD)
+
+    def test_rules_must_match_the_dag(self, fig2):
+        with pytest.raises(ValueError, match="different commutation rule set"):
+            build_disjunctive_graph(fig2, build_standard_dag(fig2), DEFAULT)
+        with pytest.raises(ValueError, match="different commutation rule set"):
+            build_disjunctive_graph(fig2, build_extended_dag(fig2, DEFAULT), STANDARD)
 
     def test_pair_overlapping_edge_rejected(self):
         dag = DependencyDag(2, frozenset({(0, 1)}))
@@ -177,6 +193,20 @@ def test_completeness_every_same_qubit_pair_ordered_or_free(circuit):
             graph = build_disjunctive_graph(circuit, dag, rules, mode)
             for i, j in _same_qubit_pairs(circuit):
                 assert dag.has_path(i, j) or (i, j) in graph.pairs, (mode, i, j)
+
+
+@settings(max_examples=150)
+@given(circuits(), st.sets(st.sampled_from(CommutationRule)))
+def test_pairs_match_reference(circuit, enabled):
+    drawn = CommutationRuleSet(frozenset(enabled))
+    for rules, dag in (
+        (STANDARD, build_standard_dag(circuit)),
+        (drawn, build_extended_dag(circuit, drawn)),
+        (DEFAULT, build_extended_dag(circuit, DEFAULT)),
+    ):
+        for mode in MODES:
+            graph = build_disjunctive_graph(circuit, dag, rules, mode)
+            assert graph.pairs == reference_pairs(circuit, dag, rules, mode), mode
 
 
 @settings(max_examples=60)

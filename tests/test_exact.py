@@ -106,7 +106,7 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             SolverConfig(time_limit=0)
         with pytest.raises(ValueError):
-            SolverConfig(bruteforce_cap=-1)
+            SolverConfig(time_limit=float("nan"))
 
 
 class TestBruteforce:
@@ -123,10 +123,13 @@ class TestBruteforce:
         assert result.nodes == 1
         assert result.schedule == semi_active(graph, Orientation(()))
 
-    def test_cap_refusal(self, fig2):
-        _, graph = ext_graph(fig2)
-        with pytest.raises(ValueError, match="exceed the brute-force cap"):
-            solve_bruteforce(graph, SolverConfig(bruteforce_cap=0))
+    def test_cap_refusal(self):
+        # Seven cx sharing a control form one commuting run: 21 pairs.
+        circuit = Circuit.build(8, [("cx", [0, t]) for t in range(1, 8)], default_duration=1)
+        _, graph = ext_graph(circuit)
+        assert len(graph.pairs) == 21
+        with pytest.raises(ValueError, match="exceed the brute-force cap of 20"):
+            solve_bruteforce(graph)
 
     def test_cyclic_orientations_are_skipped(self):
         circuit = Circuit.build(1, [("x", [0]), ("z", [0]), ("x", [0])], default_duration=1)
