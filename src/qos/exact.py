@@ -4,8 +4,10 @@ Orienting every disjunctive pair (while keeping the graph acyclic) fixes
 the order of operations competing for qubits; the longest-path schedule of
 the oriented graph is then the best schedule compatible with that order.
 The branch-and-bound solver searches orientations depth first with path
-propagation and a critical-path lower bound; a brute-force enumerator over
-all orientations serves as its correctness oracle. A big-M linear model
+propagation and two lower bounds: the critical path, and per qubit the
+value of Jackson's preemptive schedule for the qubit's operations taken as
+one machine's jobs (Carlier 1982). A brute-force enumerator over all
+orientations serves as its correctness oracle. A big-M linear model
 can be exported in CPLEX LP format for external mixed-integer solvers.
 """
 
@@ -14,6 +16,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .depgraph import CycleError, DisjunctiveGraph, longest_paths
 from .schedulers import Orientation, Schedule, heft, semi_active
@@ -36,17 +41,79 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """Best schedule found, whether optimality was proved within the time
-    limit, and search statistics."""
+    limit, a lower bound on the optimal makespan (equal to ``makespan`` when
+    proved), and search statistics."""
 
     schedule: Schedule
     makespan: int
     optimal: bool
     nodes: int
     elapsed: float
+    lower_bound: int
 
 
 class _TimeLimit(Exception):
     pass
+
+
+def _jackson_bound(jobs: Iterable[tuple[int, int, int]]) -> int:
+    """Lower bound on max(start + tail) over one machine's jobs, given as
+    (head, tail, duration) triples, when the machine runs one job at a time:
+    the value max(C + q) of Jackson's preemptive schedule, in which each job
+    is released at its head, takes its duration p and is delivered
+    q = tail - p after it completes, and the machine always runs the
+    released job of largest q. That is the optimum when jobs may be
+    preempted (Carlier 1982)."""
+    ready: list[tuple[int, int]] = []  # (-q, processing left) of released jobs
+    value = t = 0
+    for release, tail, duration in sorted(jobs):
+        while ready and t < release:
+            neg_q, left = ready[0]
+            if t + left > release:  # the new release may preempt this job
+                heapreplace(ready, (neg_q, left - (release - t)))
+                t = release
+            else:
+                heappop(ready)
+                t += left
+                if t - neg_q > value:
+                    value = t - neg_q
+        if t < release:
+            t = release
+        heappush(ready, (duration - tail, duration))
+    while ready:
+        neg_q, left = heappop(ready)
+        t += left
+        if t - neg_q > value:
+            value = t - neg_q
+    return value
+
+
+def _machines(g: DisjunctiveGraph, reach: Sequence[int]) -> dict[int, list[int]]:
+    """Per qubit, its positive-duration ops in index order, for the qubits
+    whose ops every orientation runs one at a time: each two of them are
+    joined by a conjunctive path (``reach`` holds the DAG's reachability
+    bitsets) or form a disjunctive pair. Graphs from
+    :func:`~qos.depgraph.build_disjunctive_graph` meet this on every qubit.
+    Qubits with fewer than two such ops are left out."""
+    by_qubit: dict[int, list[int]] = {}
+    for v, duration in enumerate(g.durations):
+        if duration > 0:
+            for q in g.qubits[v]:
+                by_qubit.setdefault(q, []).append(v)
+    later_partners = [0] * g.num_ops  # bit l of entry k: (k, l) is a pair
+    for k, l in g.pairs:
+        later_partners[k] |= 1 << l
+    machines: dict[int, list[int]] = {}
+    for q, ops in sorted(by_qubit.items()):
+        later = 0  # the ops after v; conjunctive paths only point forward
+        for v in reversed(ops):
+            if later & ~(reach[v] | later_partners[v]):
+                break
+            later |= 1 << v
+        else:
+            if len(ops) > 1:
+                machines[q] = ops
+    return machines
 
 
 def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -54,13 +121,18 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
 
     At each node: (1) propagate, orienting any pair whose endpoints are
     already connected by a path through the fixed arcs; (2) prune when the
-    longest path through the fixed arcs reaches the incumbent makespan;
-    (3) otherwise branch on an unoriented pair with both endpoints on a
-    current critical path (lowest pair index first), trying the source-order
-    direction before the reverse. Leaves are evaluated semi-actively. The
-    initial incumbent comes from the list-scheduling heuristic. Exhausting
-    the tree inside the time limit proves optimality; otherwise the best
-    incumbent is returned with the optimality flag cleared.
+    lower bound reaches the incumbent makespan. The bound is the larger of
+    the longest path through the fixed arcs and, for each qubit that
+    :func:`_machines` accepts, the one-machine bound of
+    :func:`_jackson_bound` over the qubit's positive-duration ops, with the
+    heads and tails of the last propagation pass; (3) otherwise branch on an
+    unoriented pair with both endpoints on a current critical path (lowest
+    pair index first), trying the source-order direction before the
+    reverse. Leaves are evaluated semi-actively. The initial incumbent comes
+    from the list-scheduling heuristic. Exhausting the tree inside the time
+    limit proves optimality; otherwise the best incumbent is returned with
+    the optimality flag cleared, and as lower bound the root node's (or,
+    when the root was not reached, the conjunctive DAG's longest path).
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
@@ -72,6 +144,16 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     best = heft(g)
     best_makespan = best.makespan
     nodes = 0
+    conjunctive = longest_paths(successors, durations, reach=True)
+    lower_bound = max(conjunctive.tails, default=0)
+
+    # Given two or more ops, itemgetter picks a tuple out of a per-op list.
+    picks = [itemgetter(*ops) for ops in _machines(g, conjunctive.reach).values()]
+    machine_durations = [pick(durations) for pick in picks]
+    # Per machine, the heads and tails its bound was last computed from, and
+    # that bound: nodes deep in one subtree often leave a machine unchanged.
+    seen: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(picks)
+    values = [0] * len(picks)
 
     # One shared assignment map with an undo trail keeps the depth-first walk
     # iterative (pair counts can exceed the recursion limit) and cheap.
@@ -90,7 +172,7 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
         """Process one search node under the current assignments: propagate,
         bound, evaluate leaves. Returns the branching pair and the direction
         order to try, or None when the node is closed."""
-        nonlocal best, best_makespan, nodes
+        nonlocal best, best_makespan, nodes, lower_bound
         nodes += 1
         if time.perf_counter() > deadline:
             raise _TimeLimit
@@ -113,14 +195,24 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
             if not forced:
                 break
         heads, tails = paths.heads, paths.tails
-        bound = max(tails, default=0)
+        longest = bound = max(tails, default=0)
         if bound >= best_makespan:
             return None
         if len(fixed) == len(pairs):
             # All pairs oriented: the heads are the semi-active schedule.
             best, best_makespan = Schedule.from_starts(heads, durations), bound
             return None
-        critical = {v for v in range(n) if heads[v] + tails[v] == bound}
+        for m, pick in enumerate(picks):
+            key = (pick(heads), pick(tails))
+            if seen[m] != key:
+                seen[m] = key
+                values[m] = _jackson_bound(zip(*key, machine_durations[m]))
+            bound = max(bound, values[m])
+            if bound >= best_makespan:
+                return None
+        if nodes == 1:
+            lower_bound = bound
+        critical = {v for v in range(n) if heads[v] + tails[v] == longest}
         choice = next(
             (
                 idx
@@ -154,7 +246,11 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
                 stack.append((len(trail), *branch))
     except _TimeLimit:
         optimal = False
-    return SolveResult(best, best.makespan, optimal, nodes, time.perf_counter() - t0)
+    if optimal:
+        lower_bound = best.makespan
+    return SolveResult(
+        best, best.makespan, optimal, nodes, time.perf_counter() - t0, lower_bound
+    )
 
 
 def solve_bruteforce(g: DisjunctiveGraph) -> SolveResult:
@@ -182,7 +278,9 @@ def solve_bruteforce(g: DisjunctiveGraph) -> SolveResult:
             best = schedule
     if best is None:
         raise ValueError("no acyclic orientation exists")
-    return SolveResult(best, best.makespan, True, evaluated, time.perf_counter() - t0)
+    return SolveResult(
+        best, best.makespan, True, evaluated, time.perf_counter() - t0, best.makespan
+    )
 
 
 def export_mip_lp(g: DisjunctiveGraph) -> str:

@@ -141,7 +141,8 @@ def asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
         raise ValueError(f"DAG has {dag.num_ops} nodes but the circuit has {n} ops")
     missing = [len(dag.predecessors[i]) for i in range(n)]
     ready = [0] * n
-    qubit_free = [0] * circuit.num_qubits
+    # Sized by the qubits that occur, not num_qubits, which the input sets.
+    qubit_free = [0] * (max((q for op in circuit.ops for q in op.qubits), default=-1) + 1)
     starts = [0] * n
 
     def candidate(i: int) -> int:

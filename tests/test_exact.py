@@ -4,18 +4,27 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import fig2_circuit, random_circuit, read_lp
+from helpers import circuits, fig2_circuit, random_circuit, read_lp
 from qos.circuit import Circuit
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
+    DependencyDag,
     DisjunctiveEdgeMode,
+    DisjunctiveGraph,
     build_disjunctive_graph,
     build_extended_dag,
     build_standard_dag,
     longest_paths,
 )
-from qos.exact import SolverConfig, export_mip_lp, solve_bnb, solve_bruteforce
+from qos.exact import (
+    SolverConfig,
+    _jackson_bound,
+    export_mip_lp,
+    solve_bnb,
+    solve_bruteforce,
+)
 from qos.schedulers import (
     CycleError,
     Orientation,
@@ -87,11 +96,41 @@ class TestBranchAndBound:
             assert validate(circuit, dag, result.schedule) == []
 
     def test_anytime_behaviour_under_tiny_limit(self, fig2):
-        _, graph = ext_graph(fig2)
+        dag, graph = ext_graph(fig2)
         rushed = solve_bnb(graph, SolverConfig(time_limit=1e-9))
         assert not rushed.optimal
         assert rushed.makespan == heft(graph).makespan
         assert rushed.makespan >= solve_bnb(graph).makespan
+        # The root was never evaluated: the bound is the conjunctive DAG's.
+        assert rushed.lower_bound == max(longest_paths(dag.successors, graph.durations).tails)
+
+    @pytest.mark.parametrize("k", [5, 10, 20])
+    def test_fan_closes_at_the_root(self, k):
+        # The hub runs an h and 2k cx one at a time: 1 + 4k dt, which heft
+        # meets; the critical path alone is 1 + 2 + 2 dt.
+        gates = [("h", [0], (), 1)]
+        gates += [("cx", [0, t], (), 2) for t in range(1, k + 1)]
+        gates += [("cx", [c, 0], (), 2) for c in range(1, k + 1)]
+        _, graph = ext_graph(Circuit.build(k + 1, gates))
+        result = solve_bnb(graph)
+        assert result.optimal
+        assert result.nodes == 1
+        assert result.makespan == result.lower_bound == 4 * k + 1
+
+    def test_unsequenced_qubit_is_not_a_machine(self):
+        # Ops 0-2 share qubit 0, but nothing orders op 2 against the others,
+        # so orientations may overlap it with them: the optimum is 4, below
+        # the 6 dt that running all three one at a time would take.
+        graph = DisjunctiveGraph(
+            dag=DependencyDag(3, frozenset()),
+            pairs=frozenset({(0, 1)}),
+            names=("x",) * 3,
+            durations=(2, 2, 2),
+            qubits=((0,),) * 3,
+        )
+        result = solve_bnb(graph)
+        assert result.makespan == solve_bruteforce(graph).makespan == 4
+        assert result.optimal and result.lower_bound == 4
 
     def test_determinism(self):
         rng = random.Random(407)
@@ -142,8 +181,9 @@ class TestBruteforce:
 
 
 def test_lower_bound_never_exceeds_best_completion():
-    """The longest-path bound used for pruning, evaluated at partial
-    orientations, is compared against the true best over all completions."""
+    """The bounds used for pruning, the longest path and each qubit's
+    one-machine bound, evaluated at partial orientations, are compared
+    against the true best over all completions."""
     rng = random.Random(11)
     checked = 0
     for _ in range(50):
@@ -154,10 +194,15 @@ def test_lower_bound_never_exceeds_best_completion():
             continue
         for k in range(len(pairs) + 1):
             fixed = [tuple(p) for p in pairs[:k]]
-            starts = longest_paths(graph.dag.successors, graph.durations, fixed).heads
-            bound = max(
-                (s + d for s, d in zip(starts, graph.durations)), default=0
-            )
+            paths = longest_paths(graph.dag.successors, graph.durations, fixed)
+            bound = max(paths.tails, default=0)
+            for q in range(circuit.num_qubits):
+                jobs = [
+                    (paths.heads[op.index], paths.tails[op.index], op.duration)
+                    for op in circuit.ops
+                    if q in op.qubits and op.duration > 0
+                ]
+                bound = max(bound, _jackson_bound(jobs))
             best = None
             for flips in itertools.product((False, True), repeat=len(pairs) - k):
                 tail = [
@@ -234,6 +279,38 @@ class TestLpExport:
         text = export_mip_lp(graph)
         assert " dis0a: x0 - x1 + 10 y_0_1 <= 6" in text
         assert " dis0b: x1 - x0 - 10 y_0_1 <= -6" in text
+
+
+def test_jackson_bound_preempts_for_the_larger_delivery():
+    # Job A (head 0, p 4, q 0) starts; job B (head 1, p 2, q 5) preempts it
+    # at 1 and completes at 3 (3 + 5 = 8); A resumes and completes at 6.
+    assert _jackson_bound([(0, 4, 4), (1, 7, 2)]) == 8
+    # The machine idles from 1 until the release at 5.
+    assert _jackson_bound([(5, 3, 3), (0, 1, 1)]) == 8
+    assert _jackson_bound([]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits(max_ops=8))
+def test_bnb_matches_bruteforce_with_its_lower_bound(circuit):
+    """Zero-duration ops and barriers included, on both DAGs and in every
+    mode: the branch and bound finds the brute-force optimum and reports a
+    lower bound no larger, equal to it when proved."""
+    for rules, dag in (
+        (STANDARD, build_standard_dag(circuit)),
+        (DEFAULT, build_extended_dag(circuit, DEFAULT)),
+    ):
+        for mode in DisjunctiveEdgeMode:
+            graph = build_disjunctive_graph(circuit, dag, rules, mode)
+            if len(graph.pairs) > 10:  # keeps the enumeration to 1024 orientations
+                continue
+            exact = solve_bnb(graph)
+            brute = solve_bruteforce(graph)
+            assert exact.makespan == brute.makespan, mode
+            assert exact.lower_bound <= brute.makespan
+            if exact.optimal:
+                assert exact.lower_bound == exact.makespan
+            assert brute.lower_bound == brute.makespan
 
 
 def test_relaxation_monotone_against_standard_baseline():

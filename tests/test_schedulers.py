@@ -174,6 +174,11 @@ class TestAsap:
         circuit = Circuit(1, ())
         assert asap(circuit, build_standard_dag(circuit)).makespan == 0
 
+    def test_declared_qubit_count_is_not_allocated(self, fig2):
+        # A list per declared qubit would need terabytes here.
+        huge = Circuit(10**12, fig2.ops)
+        assert asap(huge, build_standard_dag(huge)) == asap(fig2, build_standard_dag(fig2))
+
     def test_unordered_identical_ops_still_serialize(self):
         circuit = Circuit.build(1, [("x", [0]), ("x", [0])], default_duration=1)
         ext = build_extended_dag(circuit, DEFAULT)
