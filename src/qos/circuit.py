@@ -197,7 +197,7 @@ class DurationTable:
         "duration"}], "defaults": {name: duration}, "global_default": n}``."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the stack
             raise CircuitError(f"invalid duration table JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise CircuitError("duration table must be a JSON object")
@@ -252,7 +252,7 @@ def parse_json_circuit(text: str) -> Circuit:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the stack
         raise CircuitError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitError("circuit document must be a JSON object")
@@ -375,7 +375,7 @@ def _eval_angle(expr: str, line: int) -> float:
 
     try:
         return walk(ast.parse(expr.strip(), mode="eval").body)
-    except (SyntaxError, ValueError, ArithmeticError) as exc:
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
         raise CircuitError(f"line {line}: bad parameter expression {expr.strip()!r}: {exc}") from exc
 
 

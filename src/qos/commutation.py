@@ -95,7 +95,10 @@ def commutes(a: Operation, b: Operation, rules: CommutationRuleSet) -> bool:
     """True iff some enabled rule proves that ``a`` and ``b`` commute.
 
     Symmetric in its first two arguments. Barriers are synchronization
-    points and never commute with anything sharing a qubit.
+    points and never commute with anything sharing a qubit. For two ops
+    that share exactly one qubit, every rule but IDENTICAL_OPS looks only at
+    each op's gate name and its operand position on that qubit;
+    :func:`~qos.depgraph.build_extended_dag` relies on this.
     """
     if not set(a.qubits) & set(b.qubits):
         return True  # DISJOINT_QUBITS, always enabled

@@ -2,11 +2,20 @@
 
 Two conjunctive graphs are supported: the standard DAG, which chains every
 pair of operations sharing a qubit, and the extended DAG, which drops the
-order between consecutive commuting operations on each qubit. On top of a
-conjunctive DAG, a disjunctive graph adds the unordered pairs whose relative
-order a scheduler is free to choose; three generation policies of different
-tightness are available. One kernel, :func:`longest_paths`, computes the
-topological order, longest paths and reachability of any such graph.
+order between consecutive commuting operations on each qubit. Both are held
+in linear size. Each qubit's operations fall into consecutive runs (single
+operations on the standard DAG, maximal runs of pairwise-commuting
+operations on the extended one), and the DAG stores one *link* per pair of
+consecutive runs: every operation of the earlier run precedes every
+operation of the later one. The operation-level edges, adjacency lists and
+reachability are views derived from the links on first use.
+
+On top of a conjunctive DAG, a disjunctive graph adds the unordered pairs
+whose relative order a scheduler is free to choose; three generation
+policies of different tightness are available. It stores them as cliques
+(the per-qubit runs) and derives the pairs on first use. One kernel,
+:func:`longest_paths`, computes the topological order, longest paths and
+reachability of any such graph.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .circuit import Circuit
-from .commutation import CommutationRuleSet, commutes
+from .commutation import CommutationRule, CommutationRuleSet, commutes
 
 
 class CycleError(ValueError):
@@ -99,24 +108,61 @@ def longest_paths(
     return Paths(order, heads, tails, bits)
 
 
+Link = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class DependencyDag:
-    """Conjunctive precedence edges ``(i, j)``: op i must finish before op j
-    starts. Edges always point forward in source order, so index order is a
-    topological order. A DAG from a builder also records the commutation
+    """Conjunctive precedence as ``links`` ``(sources, targets)``: every op
+    in ``sources`` must finish before any op in ``targets`` starts. Links
+    always point forward in source order, so index order is a topological
+    order. A builder emits one link per pair of consecutive runs on each
+    qubit; :meth:`from_edges` makes each given edge ``(i, j)`` the link
+    ``((i,), (j,))``. A DAG from a builder also records the commutation
     ``rules`` it was built with and its ``groups``: the per-qubit runs of
-    two or more pairwise-commuting ops whose order it leaves free."""
+    two or more pairwise-commuting ops whose order it leaves free.
+
+    A link between runs of a and b ops stands for a·b edges. The op-level
+    views (``edges``, ``sorted_edges``, ``successors``, ``predecessors``,
+    ``reachable``) are derived from the links on first use and cached;
+    the schedulers walk :attr:`join_successors`, which stays linear.
+    """
 
     num_ops: int
-    edges: frozenset[tuple[int, int]]
+    links: tuple[Link, ...]
     rules: CommutationRuleSet | None = None
     groups: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for i, j in self.edges:
-            if not (0 <= i < j < self.num_ops):
-                raise ValueError(f"edge ({i}, {j}) violates source order or node range")
+        object.__setattr__(self, "links", tuple(self.links))
+        n = self.num_ops
+        for sources, targets in self.links:
+            if len(sources) == 1 == len(targets):  # most links; min and max are slow
+                if 0 <= sources[0] < targets[0] < n:
+                    continue
+            elif (
+                sources
+                and targets
+                and 0 <= min(sources)
+                and max(sources) < min(targets)
+                and max(targets) < n
+            ):
+                continue
+            raise ValueError(
+                f"link {tuple(sources)} -> {tuple(targets)} violates source order or node range"
+            )
+
+    @classmethod
+    def from_edges(cls, num_ops: int, edges: Iterable[tuple[int, int]]) -> "DependencyDag":
+        """A DAG with exactly the given edges, each a link of two single
+        ops, and no rules or groups."""
+        return cls(num_ops, tuple(((i,), (j,)) for i, j in sorted(set(edges))))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (i, j) for sources, targets in self.links for i in sources for j in targets
+        )
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -137,10 +183,48 @@ class DependencyDag:
         return tuple(tuple(sorted(s)) for s in out)
 
     @cached_property
+    def join_successors(self) -> tuple[tuple[int, ...], ...]:
+        """Successor lists of the DAG with a zero-duration join node for
+        each link whose runs both hold two or more ops: every op of the
+        earlier run points to the join, and the join to every op of the
+        later run. Joins are numbered from ``num_ops`` up. Links with a
+        single op on either side stay plain arcs, so this is linear in the
+        runs' sizes, and paths between ops are those of the DAG."""
+        succ: list[list[int]] = [[] for _ in range(self.num_ops)]
+        joins: list[tuple[int, ...]] = []
+        for sources, targets in self.links:
+            if len(sources) == 1:
+                succ[sources[0]].extend(targets)
+            elif len(targets) == 1:
+                target = targets[0]
+                for i in sources:
+                    succ[i].append(target)
+            else:
+                join = self.num_ops + len(joins)
+                for i in sources:
+                    succ[i].append(join)
+                joins.append(tuple(targets))
+        return (*map(tuple, succ), *joins)
+
+    def paths(self, durations: Sequence[int], *, reach: bool = False) -> Paths:
+        """:func:`longest_paths` over :attr:`join_successors`, with the join
+        nodes left out of the result."""
+        n = self.num_ops
+        succ = self.join_successors
+        if len(succ) == n:
+            return longest_paths(succ, durations, reach=reach)
+        full = longest_paths(succ, [*durations, *(0,) * (len(succ) - n)], reach=reach)
+        bits = None
+        if full.reach is not None:
+            mask = (1 << n) - 1
+            bits = [b & mask for b in full.reach[:n]]
+        return Paths([v for v in full.order if v < n], full.heads[:n], full.tails[:n], bits)
+
+    @cached_property
     def reachable(self) -> tuple[int, ...]:
         """Per-node reachability bitsets: bit j of entry i is set iff a
         directed path i -> j exists."""
-        return tuple(longest_paths(self.successors, (0,) * self.num_ops, reach=True).reach)
+        return tuple(self.paths((0,) * self.num_ops, reach=True).reach)
 
     def has_path(self, i: int, j: int) -> bool:
         return bool(self.reachable[i] >> j & 1)
@@ -164,28 +248,57 @@ class DisjunctiveEdgeMode(Enum):
 class DisjunctiveGraph:
     """A conjunctive DAG plus unordered disjunctive pairs, with per-node
     metadata (gate name, duration in dt, acting qubits) so schedulers do not
-    need the originating circuit."""
+    need the originating circuit.
+
+    The pairs are held as ``cliques`` of ops in ascending order: each two
+    ops of a clique form a pair unless a direct conjunctive edge joins them.
+    A builder graph carries the per-qubit runs (GROUPED), the per-qubit op
+    lists (REDUNDANT), or its pairs as cliques of two (MINIMAL).
+    :meth:`from_pairs` takes explicit pairs and checks them. ``pairs`` and
+    ``sorted_pairs`` are derived on first use and cached.
+    """
 
     dag: DependencyDag
-    pairs: frozenset[tuple[int, int]]
+    cliques: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
     durations: tuple[int, ...]
     qubits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        object.__setattr__(self, "cliques", tuple(self.cliques))
         n = self.dag.num_ops
         if not (len(self.names) == len(self.durations) == len(self.qubits) == n):
             raise ValueError("node metadata length does not match the DAG node count")
-        for k, l in self.pairs:
-            if not (0 <= k < l < n):
+
+    @classmethod
+    def from_pairs(
+        cls,
+        dag: DependencyDag,
+        pairs: Iterable[tuple[int, int]],
+        names: tuple[str, ...],
+        durations: tuple[int, ...],
+        qubits: tuple[tuple[int, ...], ...],
+    ) -> "DisjunctiveGraph":
+        """A graph with exactly the given pairs; each must be an in-range
+        ``(k, l)`` with ``k < l`` that is not a conjunctive edge."""
+        pairs = sorted(set(pairs))
+        for k, l in pairs:
+            if not (0 <= k < l < dag.num_ops):
                 raise ValueError(f"disjunctive pair ({k}, {l}) out of range or unnormalized")
-            if (k, l) in self.dag.edges:
+            if (k, l) in dag.edges:
                 raise ValueError(f"pair ({k}, {l}) is already a conjunctive edge")
+        return cls(dag, tuple(pairs), names, durations, qubits)
 
     @property
     def num_ops(self) -> int:
         return self.dag.num_ops
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        edges = self.dag.edges
+        return frozenset(
+            p for clique in self.cliques for p in combinations(clique, 2) if p not in edges
+        )
 
     @cached_property
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -201,36 +314,112 @@ def _ops_by_qubit(circuit: Circuit) -> dict[int, list[int]]:
 
 
 def build_standard_dag(circuit: Circuit) -> DependencyDag:
-    """Chain consecutive operations on every qubit; duplicate edges between
-    the same pair (from multi-qubit overlap) collapse to one."""
-    edges: set[tuple[int, int]] = set()
+    """Chain consecutive operations on every qubit, one link per
+    consecutive pair; two ops sharing two qubits get two links for the
+    same edge."""
+    links: list[Link] = []
     for indices in _ops_by_qubit(circuit).values():
-        edges.update(zip(indices, indices[1:]))
-    return DependencyDag(len(circuit.ops), frozenset(edges), CommutationRuleSet.standard())
+        runs = [(i,) for i in indices]
+        links.extend(zip(runs, runs[1:]))
+    return DependencyDag(len(circuit.ops), tuple(links), CommutationRuleSet.standard())
 
 
 def build_extended_dag(circuit: Circuit, rules: CommutationRuleSet) -> DependencyDag:
     """Relax the standard DAG using commutation. Per qubit, the ops acting on
     it are cut into maximal consecutive runs of pairwise-commuting ops: an op
     joins the current run only if it commutes with every member (commutation
-    is not transitive); otherwise it opens a new run. Only consecutive runs
-    are ordered, with an edge from every member of one run to every member
-    of the next; runs of two or more ops become the DAG's ``groups``."""
-    edges: set[tuple[int, int]] = set()
-    groups: list[tuple[int, ...]] = []
-    for indices in _ops_by_qubit(circuit).values():
-        runs: list[list[int]] = []
-        for i in indices:
-            if runs and all(
-                commutes(circuit.ops[i], circuit.ops[j], rules) for j in runs[-1]
-            ):
-                runs[-1].append(i)
+    is not transitive); otherwise it opens a new run. Consecutive runs are
+    joined by a link; runs of two or more ops become the DAG's ``groups``.
+
+    The membership test is linear. For two ops that share only qubit q,
+    every rule but IDENTICAL_OPS looks only at each op's key: its gate name
+    and its operand position (role) on q. So whether two keys commute is
+    learnt once per build, from the first two such ops, with IDENTICAL_OPS
+    left out. A run of two or more ops keeps one member per distinct
+    identity (name, qubits, params), by key and by each other qubit the
+    member acts on. A new op skips every key known to commute with its own,
+    and is checked exactly (``commutes``) only against the members
+    identical to it, which settles IDENTICAL_OPS, and the members that
+    share a second qubit with it.
+    """
+    ops = circuit.ops
+    plain = CommutationRuleSet(rules.rules - {CommutationRule.IDENTICAL_OPS})
+    related: dict[tuple[tuple[str, int], tuple[str, int]], bool] = {}
+    runs: dict[int, list[tuple[int, ...]]] = {}
+    # Per qubit, its open run: the members, and once it holds two or more,
+    # one member per identity by key and by each other qubit it acts on.
+    open_runs: dict[int, tuple[list[int], dict, dict]] = {}
+
+    def index(j: int, qubit: int, keyed: dict, sharing: dict) -> None:
+        op = ops[j]
+        ident = (op.name, op.qubits, op.params)
+        keyed.setdefault((op.name, op.qubits.index(qubit)), {}).setdefault(ident, j)
+        for q in op.qubits:
+            if q != qubit:
+                sharing.setdefault(q, {}).setdefault(ident, j)
+
+    def pair_commutes(op, qubit: int, other) -> bool:
+        """``commutes(op, other, rules)`` for two ops on ``qubit``, taken
+        from the learnt keys when they share no other qubit and differ."""
+        qubits = op.qubits
+        if any(q != qubit and q in qubits for q in other.qubits) or (
+            other.name == op.name and other.qubits == qubits and other.params == op.params
+        ):
+            return commutes(op, other, rules)
+        pair = ((op.name, qubits.index(qubit)), (other.name, other.qubits.index(qubit)))
+        rel = related.get(pair)
+        if rel is None:
+            rel = related[pair] = commutes(op, other, plain)
+        return rel
+
+    def admits(op, qubit: int, keyed: dict, sharing: dict) -> bool:
+        """Whether ``op`` commutes with every member of the open run on
+        ``qubit``, a run of two or more ops."""
+        key = (op.name, op.qubits.index(qubit))
+        checked = set()
+        for other_key, idents in keyed.items():
+            if related.get((key, other_key)):
+                continue  # members sharing a second qubit are checked below
+            for other, j in idents.items():
+                if not pair_commutes(op, qubit, ops[j]):
+                    return False
+                checked.add(other)
+        for q in op.qubits:
+            if q != qubit:
+                for other, j in sharing.get(q, {}).items():
+                    if other not in checked:
+                        if not commutes(op, ops[j], rules):
+                            return False
+                        checked.add(other)
+        return True
+
+    for op in ops:
+        i = op.index
+        for qubit in op.qubits:
+            state = open_runs.get(qubit)
+            if state is None:
+                runs[qubit] = []
             else:
-                runs.append([i])
-        for earlier, later in zip(runs, runs[1:]):
-            edges.update((i, j) for i in earlier for j in later)
-        groups.extend(tuple(run) for run in runs if len(run) > 1)
-    return DependencyDag(len(circuit.ops), frozenset(edges), rules, tuple(groups))
+                members, keyed, sharing = state
+                if len(members) == 1:  # no index yet
+                    joins = pair_commutes(op, qubit, ops[members[0]])
+                    if joins:
+                        index(members[0], qubit, keyed, sharing)
+                else:
+                    joins = admits(op, qubit, keyed, sharing)
+                if joins:
+                    members.append(i)
+                    index(i, qubit, keyed, sharing)
+                    continue
+                runs[qubit].append(tuple(members))
+            open_runs[qubit] = ([i], {}, {})
+    links: list[Link] = []
+    groups: list[tuple[int, ...]] = []
+    for qubit, closed in runs.items():
+        closed.append(tuple(open_runs[qubit][0]))
+        links.extend(zip(closed, closed[1:]))
+        groups.extend(run for run in closed if len(run) > 1)
+    return DependencyDag(len(ops), tuple(links), rules, tuple(groups))
 
 
 def build_disjunctive_graph(
@@ -245,8 +434,10 @@ def build_disjunctive_graph(
 
     Every same-qubit pair ends up either ordered by a conjunctive path or
     present as a disjunctive pair, whatever the mode; pairs that coincide
-    with a direct conjunctive edge are never emitted. GROUPED and MINIMAL
-    take their candidates from the DAG's ``groups``.
+    with a direct conjunctive edge are never emitted. GROUPED carries the
+    DAG's ``groups`` as its cliques and REDUNDANT each qubit's ops, so
+    neither builds a pair here; MINIMAL filters the GROUPED pairs by
+    reachability and carries the survivors.
     """
     if dag.num_ops != len(circuit.ops):
         raise ValueError(
@@ -254,19 +445,25 @@ def build_disjunctive_graph(
         )
     if rules != dag.rules:
         raise ValueError("the DAG was built with a different commutation rule set")
-    candidates: set[tuple[int, int]] = set()
     if mode is DisjunctiveEdgeMode.REDUNDANT:
-        for indices in _ops_by_qubit(circuit).values():
-            candidates.update(combinations(indices, 2))
+        cliques = tuple(tuple(ops) for ops in _ops_by_qubit(circuit).values() if len(ops) > 1)
+    elif mode is DisjunctiveEdgeMode.GROUPED:
+        cliques = dag.groups
     else:
-        for group in dag.groups:
-            candidates.update(combinations(group, 2))
-    pairs = {p for p in candidates if p not in dag.edges}
-    if mode is DisjunctiveEdgeMode.MINIMAL:
-        pairs = {(k, l) for k, l in pairs if not dag.has_path(k, l)}
+        # A direct edge is a path too, so this also drops the edges.
+        cliques = tuple(
+            sorted(
+                {
+                    (k, l)
+                    for group in dag.groups
+                    for k, l in combinations(group, 2)
+                    if not dag.has_path(k, l)
+                }
+            )
+        )
     return DisjunctiveGraph(
         dag=dag,
-        pairs=frozenset(pairs),
+        cliques=cliques,
         names=tuple(op.name for op in circuit.ops),
         durations=tuple(op.duration for op in circuit.ops),
         qubits=tuple(op.qubits for op in circuit.ops),

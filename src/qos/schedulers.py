@@ -133,14 +133,17 @@ def asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
     were pushed. A start can only grow (an eligible op's ready time is fixed
     and qubit free times never decrease), so a popped key that is still
     current is the true minimum, and a stale one goes back with its new
-    value: O(e + (n + r) log n) for n ops, e DAG edges and r stale pops,
-    rather than a scan of every eligible operation per step.
+    value: O(a + (n + r) log n) for n ops, r stale pops and a arcs of the
+    DAG's join graph (linear in its runs' sizes), rather than a scan of
+    every eligible operation per step. An op waits for each of its incoming
+    links, not for each distinct predecessor.
     """
     n = len(circuit.ops)
     if dag.num_ops != n:
         raise ValueError(f"DAG has {dag.num_ops} nodes but the circuit has {n} ops")
-    missing = [len(dag.predecessors[i]) for i in range(n)]
-    ready = [0] * n
+    succ = dag.join_successors
+    missing = _indegrees(succ)
+    ready = [0] * len(succ)
     # Sized by the qubits that occur, not num_qubits, which the input sets.
     qubit_free = [0] * (max((q for op in circuit.ops for q in op.qubits), default=-1) + 1)
     starts = [0] * n
@@ -159,19 +162,56 @@ def asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
         starts[chosen] = start
         for q in circuit.ops[chosen].qubits:
             qubit_free[q] = finish
-        for succ in dag.successors[chosen]:
-            ready[succ] = max(ready[succ], finish)
-            missing[succ] -= 1
-            if missing[succ] == 0:
-                heappush(heap, (candidate(succ), succ))
+        for succ_op in _release(succ, n, chosen, finish, ready, missing):
+            heappush(heap, (candidate(succ_op), succ_op))
     return Schedule.from_starts(starts, [op.duration for op in circuit.ops])
+
+
+def _indegrees(succ: Sequence[Sequence[int]]) -> list[int]:
+    indegree = [0] * len(succ)
+    for out in succ:
+        for v in out:
+            indegree[v] += 1
+    return indegree
+
+
+def _release(
+    succ: Sequence[Sequence[int]],
+    num_ops: int,
+    u: int,
+    finish: int,
+    ready: list[int],
+    missing: list[int],
+) -> list[int]:
+    """Pass op u's finish time along its arcs in a DAG's
+    :attr:`~qos.depgraph.DependencyDag.join_successors`, counting each arc
+    off its head's ``missing``; return the ops whose last incoming arc this
+    was. A join node passes its sources' latest finish on to its targets
+    once its last source is placed."""
+    released = []
+    for v in succ[u]:
+        if ready[v] < finish:
+            ready[v] = finish
+        missing[v] -= 1
+        if not missing[v]:
+            if v < num_ops:
+                released.append(v)
+                continue
+            at = ready[v]
+            for t in succ[v]:
+                if ready[t] < at:
+                    ready[t] = at
+                missing[t] -= 1
+                if not missing[t]:
+                    released.append(t)
+    return released
 
 
 def upward_rank(g: DisjunctiveGraph) -> tuple[int, ...]:
     """Priority of each operation: its duration plus the largest rank among
     its conjunctive successors; exit operations rank at their own duration.
     Disjunctive pairs do not contribute."""
-    return tuple(longest_paths(g.dag.successors, g.durations).tails)
+    return tuple(g.dag.paths(g.durations).tails)
 
 
 def heft(g: DisjunctiveGraph) -> Schedule:
@@ -184,8 +224,9 @@ def heft(g: DisjunctiveGraph) -> Schedule:
     may land in gaps between earlier placements. A gap exactly as long as
     the operation is usable, and a zero-length operation may sit on the
     boundary of a busy interval but never strictly inside one. Ready times
-    propagate to conjunctive successors only; same-qubit contention is
-    resolved purely by slot occupancy.
+    propagate to conjunctive successors only, through the DAG's join nodes:
+    an op is ready at the latest finish of the previous run on each of its
+    qubits. Same-qubit contention is resolved purely by slot occupancy.
 
     Each qubit keeps its disjoint busy intervals as two parallel sorted
     lists of starts and ends. A slot search bisects each acting qubit's ends
@@ -197,7 +238,9 @@ def heft(g: DisjunctiveGraph) -> Schedule:
     """
     ranks = upward_rank(g)
     order = sorted(range(g.num_ops), key=lambda i: (-ranks[i], i))
-    ready = [0] * g.num_ops
+    succ = g.dag.join_successors
+    missing = _indegrees(succ)
+    ready = [0] * len(succ)
     busy: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     starts = [0] * g.num_ops
     for u in order:
@@ -219,8 +262,7 @@ def heft(g: DisjunctiveGraph) -> Schedule:
                 k = bisect_right(ends, start)
                 begins.insert(k, start)
                 ends.insert(k, start + duration)
-        for v in g.dag.successors[u]:
-            ready[v] = max(ready[v], start + duration)
+        _release(succ, g.num_ops, u, start + duration, ready, missing)
     return Schedule.from_starts(starts, g.durations)
 
 
@@ -252,7 +294,7 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
     circuit, checking coverage, durations, and makespan consistency."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the stack
         raise CircuitError(f"invalid schedule JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("starts"), list):
         raise CircuitError("schedule document must be an object with a 'starts' array")
@@ -262,7 +304,7 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
         if not isinstance(entry, dict):
             raise CircuitError(f"schedule entry {entry!r} is not an object")
         idx = entry.get("op")
-        if not isinstance(idx, int) or not 0 <= idx < n:
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < n:
             raise CircuitError(f"schedule entry has bad op index {idx!r}")
         if starts[idx] is not None:
             raise CircuitError(f"schedule lists op {idx} twice")
@@ -288,15 +330,18 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
 
 
 def render_gantt(circuit: Circuit, schedule: Schedule, *, width: int = 72) -> str:
-    """Text Gantt chart: one row per qubit, cells proportional to duration,
-    each block labeled with its operation index. When the makespan exceeds
-    ``width`` cells, the time axis is scaled to whole dt per cell."""
+    """Text Gantt chart: one row per qubit up to the largest one an
+    operation acts on, cells proportional to duration, each block labeled
+    with its operation index. When the makespan exceeds ``width`` cells,
+    the time axis is scaled to whole dt per cell."""
     makespan = schedule.makespan
     scale = 1 if makespan <= width else -(-makespan // width)
     cells = -(-makespan // scale)
     lines = [f"makespan {makespan} dt (1 cell = {scale} dt)"]
-    label_width = len(str(circuit.num_qubits - 1))
-    rows = {q: ["."] * cells for q in range(circuit.num_qubits)}
+    # Sized by the qubits that occur, not num_qubits, which the input sets.
+    num_rows = max((q for op in circuit.ops for q in op.qubits), default=-1) + 1
+    label_width = len(str(num_rows - 1))
+    rows = [["."] * cells for _ in range(num_rows)]
     for op in circuit.ops:
         if op.duration == 0:
             continue
@@ -306,6 +351,6 @@ def render_gantt(circuit: Circuit, schedule: Schedule, *, width: int = 72) -> st
         block = str(op.index).ljust(c1 - c0, "=")[: c1 - c0]
         for q in op.qubits:
             rows[q][c0:c1] = block
-    for q in range(circuit.num_qubits):
-        lines.append(f"q{q:<{label_width}} |{''.join(rows[q])}|")
+    for q, row in enumerate(rows):
+        lines.append(f"q{q:<{label_width}} |{''.join(row)}|")
     return "\n".join(lines) + "\n"

@@ -88,6 +88,37 @@ def circuits(
     return Circuit(nq, tuple(ops))
 
 
+# Few distinct ops on three qubits, so that a drawn circuit repeats the
+# same op (cx(0, 1) above all) and mixes identical, commuting and blocking
+# neighbours in one run.
+_REPEATING_POOL = (
+    ("cx", (0, 1), ()),
+    ("cx", (0, 1), ()),
+    ("cx", (1, 0), ()),
+    ("cx", (0, 2), ()),
+    ("cx", (2, 1), ()),
+    ("u1", (0,), (0.5,)),
+    ("u1", (0,), (0.25,)),
+    ("u1", (1,), (0.5,)),
+    ("x", (1,), ()),
+    ("h", (0,), ()),
+    ("barrier", (0, 1), ()),
+    ("frob", (0, 1, 2), ()),
+)
+
+
+@st.composite
+def repeating_circuits(draw, max_ops: int = 12, max_duration: int = 3):
+    """Hypothesis strategy for 3-qubit circuits drawn from a small pool of
+    fixed ops, with zero-duration ops and barriers."""
+    picks = draw(st.lists(st.sampled_from(_REPEATING_POOL), max_size=max_ops))
+    ops = []
+    for i, (name, qubits, params) in enumerate(picks):
+        duration = 0 if name == "barrier" else draw(st.integers(0, max_duration))
+        ops.append(Operation(i, name, qubits, params, duration))
+    return Circuit(3, tuple(ops))
+
+
 # --- minimal CPLEX-LP reader ---------------------------------------------------
 
 _SECTIONS = ("Minimize", "Subject To", "Bounds", "Binary", "End")

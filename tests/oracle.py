@@ -6,8 +6,10 @@ reference topological order for the longest-path kernel; the quadratic
 list schedulers below, which merge and scan every busy interval or every
 ready operation at each step, are the reference for ``heft`` and ``asap``;
 a pair builder that partitions each qubit's ops into commuting runs itself
-is the reference for ``build_disjunctive_graph``. None of them is on the
-package's import path.
+is the reference for ``build_disjunctive_graph``; the extended-DAG builder
+that tests each op against every member of a run and stores the edges
+between consecutive runs one by one is the reference for
+``build_extended_dag``. None of them is on the package's import path.
 """
 
 from __future__ import annotations
@@ -249,3 +251,28 @@ def reference_pairs(
     if mode is DisjunctiveEdgeMode.MINIMAL:
         pairs = {(k, l) for k, l in pairs if not dag.has_path(k, l)}
     return pairs
+
+
+def reference_extended_dag(circuit: Circuit, rules: CommutationRuleSet) -> DependencyDag:
+    """Relax the standard DAG using commutation. Per qubit, the ops acting on
+    it are cut into maximal consecutive runs of pairwise-commuting ops: an op
+    joins the current run only if it commutes with every member (commutation
+    is not transitive); otherwise it opens a new run. Only consecutive runs
+    are ordered, with an edge from every member of one run to every member
+    of the next; runs of two or more ops become the DAG's ``groups``."""
+    edges: set[tuple[int, int]] = set()
+    groups: list[tuple[int, ...]] = []
+    for indices in _ops_by_qubit(circuit).values():
+        runs: list[list[int]] = []
+        for i in indices:
+            if runs and all(
+                commutes(circuit.ops[i], circuit.ops[j], rules) for j in runs[-1]
+            ):
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        for earlier, later in zip(runs, runs[1:]):
+            edges.update((i, j) for i in earlier for j in later)
+        groups.extend(tuple(run) for run in runs if len(run) > 1)
+    links = tuple(((i,), (j,)) for i, j in sorted(edges))
+    return DependencyDag(len(circuit.ops), links, rules, tuple(groups))

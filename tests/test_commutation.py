@@ -174,3 +174,33 @@ def test_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.strip() == "False"
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["h", "x", "z", "u1", "u3", "cx", "barrier", "frob"]),
+    st.sampled_from(["h", "x", "z", "u1", "u3", "cx", "barrier", "frob"]),
+    st.randoms(use_true_random=False),
+)
+def test_one_shared_qubit_decided_by_name_and_role(name_a, name_b, rng):
+    """Outside IDENTICAL_OPS, two ops sharing exactly one qubit commute as
+    their names and operand positions on it decide; the extended-DAG
+    builder learns commutation per such key pair."""
+    rules = CommutationRuleSet(frozenset(CommutationRule) - {CommutationRule.IDENTICAL_OPS})
+    width = {"cx": 2, "barrier": 2, "frob": 3}
+
+    def placed(name, role, shared, spare):
+        qubits = [spare.pop() for _ in range(width.get(name, 1))]
+        qubits[role] = shared
+        params = [rng.uniform(-3, 3) for _ in range(PARAM_COUNT.get(name, 0))]
+        return op(name, qubits, params)
+
+    for role_a in range(width.get(name_a, 1)):
+        for role_b in range(width.get(name_b, 1)):
+            answers = set()
+            for _ in range(4):
+                spare = rng.sample(range(1, 20), 6)
+                shared = rng.choice([0, 20, 21])
+                a, b = placed(name_a, role_a, shared, spare), placed(name_b, role_b, shared, spare)
+                answers.add(commutes(a, b, rules))
+            assert len(answers) == 1, (name_a, role_a, name_b, role_b)

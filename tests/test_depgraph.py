@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import graphlib
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import circuits, fig2_circuit
-from oracle import reference_pairs, reference_paths
-from qos.circuit import Circuit
-from qos.commutation import CommutationRule, CommutationRuleSet
+from helpers import circuits, fig2_circuit, repeating_circuits
+from oracle import reference_extended_dag, reference_pairs, reference_paths
+from qos import cli, depgraph
+from qos.cli import run_compare
+from qos.circuit import Circuit, circuit_to_json
+from qos.commutation import CommutationRule, CommutationRuleSet, commutes
 from qos.depgraph import (
     CycleError,
     DependencyDag,
@@ -112,9 +115,9 @@ class TestDisjunctiveGraph:
             build_disjunctive_graph(fig2, build_extended_dag(fig2, DEFAULT), STANDARD)
 
     def test_pair_overlapping_edge_rejected(self):
-        dag = DependencyDag(2, frozenset({(0, 1)}))
+        dag = DependencyDag.from_edges(2, {(0, 1)})
         with pytest.raises(ValueError, match="already a conjunctive edge"):
-            DisjunctiveGraph(dag, frozenset({(0, 1)}), ("x", "x"), (1, 1), ((0,), (0,)))
+            DisjunctiveGraph.from_pairs(dag, {(0, 1)}, ("x", "x"), (1, 1), ((0,), (0,)))
 
     def test_barriers_never_in_pairs(self):
         circuit = Circuit.build(2, [("cx", [0, 1]), ("barrier", [0]), ("cx", [0, 1])])
@@ -141,15 +144,35 @@ class TestDisjunctiveGraph:
 class TestDagType:
     def test_edges_must_respect_source_order(self):
         with pytest.raises(ValueError, match="source order"):
-            DependencyDag(3, frozenset({(2, 1)}))
+            DependencyDag.from_edges(3, {(2, 1)})
         with pytest.raises(ValueError, match="source order"):
-            DependencyDag(2, frozenset({(0, 5)}))
+            DependencyDag.from_edges(2, {(0, 5)})
 
     def test_reachability(self):
-        dag = DependencyDag(4, frozenset({(0, 1), (1, 3)}))
+        dag = DependencyDag.from_edges(4, {(0, 1), (1, 3)})
         assert dag.has_path(0, 3)
         assert not dag.has_path(0, 2)
         assert not dag.has_path(3, 0)
+
+    def test_hand_built_edges_are_links_of_single_ops(self):
+        dag = DependencyDag.from_edges(3, [(1, 2), (0, 1), (0, 1)])
+        assert dag.links == (((0,), (1,)), ((1,), (2,)))
+        assert dag.edges == {(0, 1), (1, 2)}
+        assert dag.join_successors == ((1,), (2,), ())
+
+    def test_link_between_two_runs_goes_through_one_join(self):
+        # The three cx sharing control 0 form one run on qubit 0, the three
+        # sharing target 0 the next: nine edges, held as one link.
+        circuit = fan_circuit(3, labels=[0, 1, 2, 3], spokes_in=[1, 2, 3])
+        dag = build_extended_dag(circuit, DEFAULT)
+        assert ((1, 2, 3), (4, 5, 6)) in dag.links
+        assert {(i, j) for i in (1, 2, 3) for j in (4, 5, 6)} <= dag.edges
+        join = dag.num_ops  # the only link with two runs of two or more
+        assert len(dag.join_successors) == join + 1
+        assert dag.join_successors[join] == (4, 5, 6)
+        assert all(join in dag.join_successors[i] for i in (1, 2, 3))
+        durations = [op.duration for op in circuit.ops]
+        assert dag.paths(durations).heads == longest_paths(dag.successors, durations).heads
 
 
 class TestExportDot:
@@ -196,7 +219,9 @@ def test_completeness_every_same_qubit_pair_ordered_or_free(circuit):
 
 
 @settings(max_examples=150)
-@given(circuits(), st.sets(st.sampled_from(CommutationRule)))
+@given(
+    st.one_of(circuits(), repeating_circuits()), st.sets(st.sampled_from(CommutationRule))
+)
 def test_pairs_match_reference(circuit, enabled):
     drawn = CommutationRuleSet(frozenset(enabled))
     for rules, dag in (
@@ -207,6 +232,24 @@ def test_pairs_match_reference(circuit, enabled):
         for mode in MODES:
             graph = build_disjunctive_graph(circuit, dag, rules, mode)
             assert graph.pairs == reference_pairs(circuit, dag, rules, mode), mode
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(circuits(), repeating_circuits()), st.sets(st.sampled_from(CommutationRule))
+)
+def test_extended_dag_matches_reference(circuit, enabled):
+    """The linear partition gives the reference builder's runs; the edges
+    and reachability derived from its links are the reference's."""
+    drawn = CommutationRuleSet(frozenset(enabled))
+    for rules in (drawn, DEFAULT):
+        dag = build_extended_dag(circuit, rules)
+        ref = reference_extended_dag(circuit, rules)
+        assert (dag.edges, dag.groups, dag.rules) == (ref.edges, ref.groups, ref.rules)
+        assert dag.reachable == ref.reachable
+        assert dag.paths([op.duration for op in circuit.ops]).tails == list(
+            longest_paths(ref.successors, [op.duration for op in circuit.ops]).tails
+        )
 
 
 @settings(max_examples=60)
@@ -292,6 +335,68 @@ class TestLongestPaths:
             assert all(arc in arcs for arc in zip(cycle, cycle[1:]))
         else:
             longest_paths([()] * n, [1] * n, arcs)
+
+
+def fan_circuit(k, seed=3, labels=None, spokes_in=None):
+    """The benchmark's fan shape: an h on the hub, k cx sharing the hub as
+    control, then k cx sharing it as target, on seeded qubit labels."""
+    rng = random.Random(seed)
+    if labels is None:
+        labels = list(range(k + 1))
+        rng.shuffle(labels)
+    hub, spokes = labels[0], labels[1:]
+    gates = [("h", [hub], (), 1)] + [("cx", [hub, t], (), 2) for t in spokes]
+    if spokes_in is None:
+        spokes_in = list(spokes)
+        rng.shuffle(spokes_in)
+    gates += [("cx", [c, hub], (), 2) for c in spokes_in]
+    return Circuit.build(k + 1, gates)
+
+
+def qft_like_circuit(n):
+    """QFT-like layers: per qubit c an h and a u1, then for each later qubit
+    t two cx sharing control c, each followed by a u1 on t."""
+    gates = []
+    for c in range(n):
+        gates += [("h", [c], (), 1), ("u1", [c], (0.5,), 1)]
+        for t in range(c + 1, n):
+            gates += [("cx", [c, t], (), 2), ("u1", [t], (0.25,), 1)]
+            gates += [("cx", [c, t], (), 2), ("u1", [t], (0.125,), 1)]
+    return Circuit.build(n, gates)
+
+
+class TestLinearSize:
+    """Structural guards that need no timer."""
+
+    @pytest.mark.parametrize(
+        "circuit", [fan_circuit(400), qft_like_circuit(32)], ids=["fan400", "qft32"]
+    )
+    def test_commutes_calls_are_linear_in_incidences(self, circuit, monkeypatch):
+        calls = 0
+
+        def counting(a, b, rules):
+            nonlocal calls
+            calls += 1
+            return commutes(a, b, rules)
+
+        monkeypatch.setattr(depgraph, "commutes", counting)
+        build_extended_dag(circuit, DEFAULT)
+        incidences = sum(len(op.qubits) for op in circuit.ops)
+        assert calls <= 2 * incidences
+
+    def test_heft_compare_derives_no_edges_or_pairs(self, tmp_path, monkeypatch):
+        path = tmp_path / "fan400.json"
+        path.write_text(circuit_to_json(fan_circuit(400)), encoding="utf-8")
+        seen = []
+        real_asap, real_heft = cli.asap, cli.heft
+        monkeypatch.setattr(cli, "asap", lambda c, dag: seen.append(dag) or real_asap(c, dag))
+        monkeypatch.setattr(cli, "heft", lambda g: seen.append(g) or real_heft(g))
+        (row,) = run_compare([str(path)], method="heft")
+        std_dag, graph = seen
+        assert row.ext_makespan == 1 + 4 * 400
+        assert "edges" not in std_dag.__dict__
+        assert "edges" not in graph.dag.__dict__
+        assert "pairs" not in graph.__dict__
 
 
 @pytest.fixture

@@ -121,8 +121,8 @@ class TestBranchAndBound:
         # Ops 0-2 share qubit 0, but nothing orders op 2 against the others,
         # so orientations may overlap it with them: the optimum is 4, below
         # the 6 dt that running all three one at a time would take.
-        graph = DisjunctiveGraph(
-            dag=DependencyDag(3, frozenset()),
+        graph = DisjunctiveGraph.from_pairs(
+            dag=DependencyDag.from_edges(3, ()),
             pairs=frozenset({(0, 1)}),
             names=("x",) * 3,
             durations=(2, 2, 2),

@@ -4,9 +4,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import circuits, fig2_circuit, random_circuit
-from oracle import reference_asap, reference_heft
+from helpers import circuits, fig2_circuit, random_circuit, repeating_circuits
+from oracle import reference_asap, reference_extended_dag, reference_heft
 from qos.circuit import Circuit, CircuitError
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
@@ -48,8 +49,8 @@ def std_graph(circuit, mode=DisjunctiveEdgeMode.GROUPED):
 def bare_graph(ops, edges):
     """A disjunctive graph with no pairs from ``(qubits, duration)`` per op
     and explicit conjunctive edges, to pin heft's placement order."""
-    return DisjunctiveGraph(
-        dag=DependencyDag(len(ops), frozenset(edges)),
+    return DisjunctiveGraph.from_pairs(
+        dag=DependencyDag.from_edges(len(ops), edges),
         pairs=frozenset(),
         names=("g",) * len(ops),
         durations=tuple(d for _, d in ops),
@@ -194,10 +195,15 @@ class TestAsap:
         assert asap(circuit, dag) == semi_active(graph, Orientation(()))
 
     @settings(max_examples=150)
-    @given(circuits(max_ops=40, max_duration=4))
+    @given(st.one_of(circuits(max_ops=40, max_duration=4), repeating_circuits(max_ops=40)))
     def test_equals_reference_on_both_dags(self, circuit):
+        # The reference walks op-level predecessors and successors; asap
+        # walks the links through join nodes. The reference extended DAG
+        # holds one link per edge.
+        reference_dag = reference_extended_dag(circuit, DEFAULT)
         for dag in (build_standard_dag(circuit), build_extended_dag(circuit, DEFAULT)):
             assert asap(circuit, dag) == reference_asap(circuit, dag)
+        assert asap(circuit, dag) == reference_asap(circuit, reference_dag)
 
     def test_stale_start_is_requeued(self):
         # Both x ops are eligible at 0; placing the x on q0 pushes the
@@ -270,10 +276,15 @@ class TestHeft:
             assert validate(circuit, dag, heft(graph)) == []
 
     @settings(max_examples=150)
-    @given(circuits(max_ops=40, max_duration=4))
+    @given(st.one_of(circuits(max_ops=40, max_duration=4), repeating_circuits(max_ops=40)))
     def test_equals_reference_on_both_dags(self, circuit):
+        # As for asap: join nodes against op-level successors.
         for _, graph in (std_graph(circuit), ext_graph(circuit)):
             assert heft(graph) == reference_heft(graph)
+        reference_graph = build_disjunctive_graph(
+            circuit, reference_extended_dag(circuit, DEFAULT), DEFAULT
+        )
+        assert heft(graph) == reference_heft(reference_graph)
 
     def test_offset_gaps_need_repeated_passes(self):
         # The 2-dt op 6 fits q0's gap [1, 3) but not q1's busy [0, 2); q1's
@@ -346,6 +357,17 @@ class TestScheduleIO:
             "q1 |01|\n"
             "q2 |21|\n"
         )
+
+    def test_gantt_rows_stop_at_the_largest_qubit_used(self, fig2):
+        # A row per declared qubit would be 10**12 rows here.
+        huge = Circuit(10**12, fig2.ops)
+        text = render_gantt(huge, asap(huge, build_standard_dag(huge)))
+        assert text.splitlines() == [
+            "makespan 3 dt (1 cell = 1 dt)",
+            "q0 |...|",
+            "q1 |01.|",
+            "q2 |.12|",
+        ]
 
     def test_gantt_scales_down_long_schedules(self):
         circuit = Circuit.build(1, [("x", [0], (), 1000), ("z", [0], (), 1000)])
