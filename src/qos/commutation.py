@@ -8,9 +8,7 @@ the pair provably commutes, while "no rule" does not imply the opposite.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from typing import Iterator
 
 from .circuit import Operation
 
@@ -45,9 +43,6 @@ class CommutationRuleSet:
     def __contains__(self, rule: CommutationRule) -> bool:
         return rule in self.rules
 
-    def __iter__(self) -> Iterator[CommutationRule]:
-        return iter(sorted(self.rules, key=lambda r: r.value))
-
     @classmethod
     def standard(cls) -> "CommutationRuleSet":
         """Only the trivial disjoint-qubits rule."""
@@ -79,16 +74,6 @@ class CommutationRuleSet:
         if text.lower() == "default":
             return cls.default()
         return cls.from_names(n for n in text.split(",") if n.strip())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CommutationRuleSet":
-        names = json.loads(text)
-        if not isinstance(names, list):
-            raise ValueError("rule set JSON must be an array of rule names")
-        return cls.from_names(names)
-
-    def to_json(self) -> str:
-        return json.dumps([r.value for r in self])
 
 
 def commutes(a: Operation, b: Operation, rules: CommutationRuleSet) -> bool:

@@ -7,15 +7,17 @@ in linear size. Each qubit's operations fall into consecutive runs (single
 operations on the standard DAG, maximal runs of pairwise-commuting
 operations on the extended one), and the DAG stores one *link* per pair of
 consecutive runs: every operation of the earlier run precedes every
-operation of the later one. The operation-level edges, adjacency lists and
-reachability are views derived from the links on first use.
+operation of the later one. The scheduling passes walk the links as a
+linear *join graph*; the operation-level edges and reachability are views
+derived from the links on first use.
 
 On top of a conjunctive DAG, a disjunctive graph adds the unordered pairs
 whose relative order a scheduler is free to choose; three generation
 policies of different tightness are available. It stores them as cliques
 (the per-qubit runs) and derives the pairs on first use. One kernel,
-:func:`longest_paths`, computes the topological order, longest paths and
-reachability of any such graph.
+:func:`longest_paths`, computes longest paths and reachability; every pass
+over a DAG, with or without oriented pairs, reaches it through
+:meth:`DependencyDag.paths`.
 """
 
 from __future__ import annotations
@@ -40,12 +42,10 @@ class CycleError(ValueError):
 
 
 class Paths(NamedTuple):
-    """A topological order; per node its head (longest path into it, so its
-    earliest start) and tail (longest path out of it, its own duration
-    included); and, when asked for, per node a bitset of the nodes it
-    reaches."""
+    """Per node its head (longest path into it, so its earliest start) and
+    tail (longest path out of it, its own duration included); and, when
+    asked for, per node a bitset of the nodes it reaches."""
 
-    order: list[int]
     heads: list[int]
     tails: list[int]
     reach: list[int] | None
@@ -58,8 +58,8 @@ def longest_paths(
     *,
     reach: bool = False,
 ) -> Paths:
-    """Order, heads, tails and (with ``reach``) reachability of the digraph
-    in which node u has an arc to each node of ``successors[u]``, plus the
+    """Heads, tails and (with ``reach``) reachability of the digraph in
+    which node u has an arc to each node of ``successors[u]``, plus the
     extra ``arcs``, from one Kahn pass. Arcs may point against index order;
     node u delays each successor by ``durations[u]``. Raises
     :class:`CycleError` naming a cycle if the arcs are not acyclic."""
@@ -105,7 +105,7 @@ def longest_paths(
         tails[u] = durations[u] + tail
         if reach:
             bits[u] = mask
-    return Paths(order, heads, tails, bits)
+    return Paths(heads, tails, bits)
 
 
 Link = tuple[tuple[int, ...], tuple[int, ...]]
@@ -123,9 +123,9 @@ class DependencyDag:
     two or more pairwise-commuting ops whose order it leaves free.
 
     A link between runs of a and b ops stands for a·b edges. The op-level
-    views (``edges``, ``sorted_edges``, ``successors``, ``predecessors``,
-    ``reachable``) are derived from the links on first use and cached;
-    the schedulers walk :attr:`join_successors`, which stays linear.
+    views ``edges``, ``sorted_edges`` and ``reachable`` are derived from
+    the links on first use and cached. Every longest-path pass goes through
+    :meth:`paths`, which walks :attr:`join_successors`; that stays linear.
     """
 
     num_ops: int
@@ -169,20 +169,6 @@ class DependencyDag:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for i, j in self.edges:
-            out[i].append(j)
-        return tuple(tuple(sorted(s)) for s in out)
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for i, j in self.edges:
-            out[j].append(i)
-        return tuple(tuple(sorted(s)) for s in out)
-
-    @cached_property
     def join_successors(self) -> tuple[tuple[int, ...], ...]:
         """Successor lists of the DAG with a zero-duration join node for
         each link whose runs both hold two or more ops: every op of the
@@ -206,25 +192,40 @@ class DependencyDag:
                 joins.append(tuple(targets))
         return (*map(tuple, succ), *joins)
 
-    def paths(self, durations: Sequence[int], *, reach: bool = False) -> Paths:
-        """:func:`longest_paths` over :attr:`join_successors`, with the join
-        nodes left out of the result."""
+    def paths(
+        self,
+        durations: Sequence[int],
+        arcs: Iterable[tuple[int, int]] = (),
+        *,
+        reach: bool = False,
+    ) -> Paths:
+        """:func:`longest_paths` over :attr:`join_successors` plus the extra
+        op-to-op ``arcs`` (oriented pairs, say), with heads, tails and reach
+        cut to the ops. Reach bits from ``num_ops`` up stand for join nodes.
+        A :class:`CycleError` names a cycle of ops only, each step an edge
+        of the DAG or one of the arcs."""
         n = self.num_ops
         succ = self.join_successors
         if len(succ) == n:
-            return longest_paths(succ, durations, reach=reach)
-        full = longest_paths(succ, [*durations, *(0,) * (len(succ) - n)], reach=reach)
-        bits = None
-        if full.reach is not None:
-            mask = (1 << n) - 1
-            bits = [b & mask for b in full.reach[:n]]
-        return Paths([v for v in full.order if v < n], full.heads[:n], full.tails[:n], bits)
+            return longest_paths(succ, durations, arcs, reach=reach)
+        try:
+            full = longest_paths(succ, [*durations, *(0,) * (len(succ) - n)], arcs, reach=reach)
+        except CycleError as exc:
+            # A join relays its sources to its targets, so leaving the joins
+            # out keeps a cycle; it stays closed unless it began at a join.
+            cycle = [v for v in exc.cycle if v < n]
+            if cycle[0] != cycle[-1]:
+                cycle.append(cycle[0])
+            raise CycleError("cycle detected: " + " -> ".join(map(str, cycle)), cycle) from None
+        bits = None if full.reach is None else full.reach[:n]
+        return Paths(full.heads[:n], full.tails[:n], bits)
 
     @cached_property
     def reachable(self) -> tuple[int, ...]:
         """Per-node reachability bitsets: bit j of entry i is set iff a
         directed path i -> j exists."""
-        return tuple(self.paths((0,) * self.num_ops, reach=True).reach)
+        mask = (1 << self.num_ops) - 1
+        return tuple(bits & mask for bits in self.paths((0,) * self.num_ops, reach=True).reach)
 
     def has_path(self, i: int, j: int) -> bool:
         return bool(self.reachable[i] >> j & 1)

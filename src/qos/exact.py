@@ -20,7 +20,7 @@ from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .depgraph import CycleError, DisjunctiveGraph, longest_paths
+from .depgraph import CycleError, DisjunctiveGraph
 from .schedulers import Orientation, Schedule, heft, semi_active
 
 
@@ -139,12 +139,12 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     deadline = t0 + cfg.time_limit
     n = g.num_ops
     durations = g.durations
-    successors = g.dag.successors
+    dag = g.dag
     pairs = g.sorted_pairs
     best = heft(g)
     best_makespan = best.makespan
     nodes = 0
-    conjunctive = longest_paths(successors, durations, reach=True)
+    conjunctive = dag.paths(durations, reach=True)
     lower_bound = max(conjunctive.tails, default=0)
 
     # Given two or more ops, itemgetter picks a tuple out of a per-op list.
@@ -180,7 +180,7 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
         # its direction, and new arcs can force further pairs. The last pass,
         # which forces nothing, describes the node's graph.
         while True:
-            paths = longest_paths(successors, durations, fixed.values(), reach=True)
+            paths = dag.paths(durations, fixed.values(), reach=True)
             reach = paths.reach
             forced = False
             for idx, (k, l) in enumerate(pairs):

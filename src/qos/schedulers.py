@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .circuit import Circuit, CircuitError
 from .depgraph import CycleError  # noqa: F401  (raised by semi_active)
-from .depgraph import DependencyDag, DisjunctiveGraph, longest_paths
+from .depgraph import DependencyDag, DisjunctiveGraph
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def semi_active(g: DisjunctiveGraph, orientation: Orientation) -> Schedule:
     covered = sorted(tuple(sorted(arc)) for arc in orientation.arcs)
     if covered != list(g.sorted_pairs):
         raise ValueError("orientation does not cover exactly the disjunctive pairs")
-    starts = longest_paths(g.dag.successors, g.durations, orientation.arcs).heads
+    starts = g.dag.paths(g.durations, orientation.arcs).heads
     return Schedule.from_starts(starts, g.durations)
 
 
@@ -144,8 +144,8 @@ def asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
     succ = dag.join_successors
     missing = _indegrees(succ)
     ready = [0] * len(succ)
-    # Sized by the qubits that occur, not num_qubits, which the input sets.
-    qubit_free = [0] * (max((q for op in circuit.ops for q in op.qubits), default=-1) + 1)
+    # Keyed by the qubits that occur, not num_qubits, which the input sets.
+    qubit_free = dict.fromkeys((q for op in circuit.ops for q in op.qubits), 0)
     starts = [0] * n
 
     def candidate(i: int) -> int:

@@ -107,6 +107,15 @@ def commutes_matrix_oracle(a: Operation, b: Operation, *, tol: float = 1e-9) -> 
     return float(np.max(np.abs(mat_a @ mat_b - mat_b @ mat_a))) <= tol
 
 
+def edge_successors(dag: DependencyDag) -> list[list[int]]:
+    """Per op, its direct successors in ascending order, read off the
+    DAG's op-level ``edges`` rather than its links."""
+    out: list[list[int]] = [[] for _ in range(dag.num_ops)]
+    for i, j in sorted(dag.edges):
+        out[i].append(j)
+    return out
+
+
 def reference_paths(
     num_ops: int, arcs: list[tuple[int, int]], durations: list[int]
 ) -> tuple[list[int], list[int], list[int]]:
@@ -144,7 +153,10 @@ def reference_asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
     n = len(circuit.ops)
     if dag.num_ops != n:
         raise ValueError(f"DAG has {dag.num_ops} nodes but the circuit has {n} ops")
-    missing = [len(dag.predecessors[i]) for i in range(n)]
+    successors = edge_successors(dag)
+    missing = [0] * n
+    for _, j in dag.edges:
+        missing[j] += 1
     ready = [0] * n
     qubit_free = [0] * circuit.num_qubits
     starts = [0] * n
@@ -160,7 +172,7 @@ def reference_asap(circuit: Circuit, dag: DependencyDag) -> Schedule:
         for q in circuit.ops[chosen].qubits:
             qubit_free[q] = finish
         eligible.remove(chosen)
-        for succ in dag.successors[chosen]:
+        for succ in successors[chosen]:
             ready[succ] = max(ready[succ], finish)
             missing[succ] -= 1
             if missing[succ] == 0:
@@ -188,6 +200,7 @@ def reference_heft(g: DisjunctiveGraph) -> Schedule:
     ready = [0] * g.num_ops
     busy: dict[int, list[tuple[int, int]]] = defaultdict(list)
     starts = [0] * g.num_ops
+    successors = edge_successors(g.dag)
     for u in order:
         duration = g.durations[u]
         merged = sorted(iv for q in g.qubits[u] for iv in busy[q])
@@ -196,7 +209,7 @@ def reference_heft(g: DisjunctiveGraph) -> Schedule:
         if duration:
             for q in g.qubits[u]:
                 insort(busy[q], (start, start + duration))
-        for v in g.dag.successors[u]:
+        for v in successors[u]:
             ready[v] = max(ready[v], start + duration)
     return Schedule.from_starts(starts, g.durations)
 

@@ -133,6 +133,19 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["makespan"] == 3
 
+    @pytest.mark.parametrize("dag", ["standard", "extended"])
+    def test_schedule_asap_on_a_huge_qubit_index(self, tmp_path, capsys, dag):
+        path = tmp_path / "far.json"
+        path.write_text(
+            json.dumps(
+                {"num_qubits": 10**9 + 1, "ops": [{"name": "x", "qubits": [10**9], "duration": 1}]}
+            ),
+            encoding="utf-8",
+        )
+        assert main(["schedule", str(path), "--dag", dag, "--method", "asap"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["makespan"] == 1 and err == ""
+
     def test_schedule_with_standard_rules_cannot_reorder(self, fig2_file, capsys):
         code = main(
             ["schedule", fig2_file, "--dag", "extended", "--rules", "standard", "--default-duration", "1"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import circuits, fig2_circuit, repeating_circuits
-from oracle import reference_extended_dag, reference_pairs, reference_paths
+from oracle import edge_successors, reference_extended_dag, reference_pairs, reference_paths
 from qos import cli, depgraph
 from qos.cli import run_compare
 from qos.circuit import Circuit, circuit_to_json
@@ -172,7 +172,7 @@ class TestDagType:
         assert dag.join_successors[join] == (4, 5, 6)
         assert all(join in dag.join_successors[i] for i in (1, 2, 3))
         durations = [op.duration for op in circuit.ops]
-        assert dag.paths(durations).heads == longest_paths(dag.successors, durations).heads
+        assert dag.paths(durations).heads == longest_paths(edge_successors(dag), durations).heads
 
 
 class TestExportDot:
@@ -248,7 +248,7 @@ def test_extended_dag_matches_reference(circuit, enabled):
         assert (dag.edges, dag.groups, dag.rules) == (ref.edges, ref.groups, ref.rules)
         assert dag.reachable == ref.reachable
         assert dag.paths([op.duration for op in circuit.ops]).tails == list(
-            longest_paths(ref.successors, [op.duration for op in circuit.ops]).tails
+            longest_paths(edge_successors(ref), [op.duration for op in circuit.ops]).tails
         )
 
 
@@ -304,14 +304,11 @@ class TestLongestPaths:
         for u, v in arcs[::2]:
             successors[u].append(v)
         paths = longest_paths(successors, durations, arcs[1::2], reach=True)
-        assert sorted(paths.order) == list(range(n))
-        position = {v: i for i, v in enumerate(paths.order)}
-        assert all(position[u] < position[v] for u, v in arcs)
         heads, tails, reach = reference_paths(n, arcs, durations)
         assert (paths.heads, paths.tails, paths.reach) == (heads, tails, reach)
 
     def test_reach_only_when_asked(self):
-        assert longest_paths([(), (0,)], [3, 4]) == ([1, 0], [4, 0], [3, 7], None)
+        assert longest_paths([(), (0,)], [3, 4]) == ([4, 0], [3, 7], None)
 
     @settings(max_examples=200)
     @given(

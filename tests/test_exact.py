@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import circuits, fig2_circuit, random_circuit, read_lp
+from oracle import edge_successors
 from qos.circuit import Circuit
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
@@ -102,7 +103,7 @@ class TestBranchAndBound:
         assert rushed.makespan == heft(graph).makespan
         assert rushed.makespan >= solve_bnb(graph).makespan
         # The root was never evaluated: the bound is the conjunctive DAG's.
-        assert rushed.lower_bound == max(longest_paths(dag.successors, graph.durations).tails)
+        assert rushed.lower_bound == max(longest_paths(edge_successors(dag), graph.durations).tails)
 
     @pytest.mark.parametrize("k", [5, 10, 20])
     def test_fan_closes_at_the_root(self, k):
@@ -194,7 +195,7 @@ def test_lower_bound_never_exceeds_best_completion():
             continue
         for k in range(len(pairs) + 1):
             fixed = [tuple(p) for p in pairs[:k]]
-            paths = longest_paths(graph.dag.successors, graph.durations, fixed)
+            paths = longest_paths(edge_successors(graph.dag), graph.durations, fixed)
             bound = max(paths.tails, default=0)
             for q in range(circuit.num_qubits):
                 jobs = [

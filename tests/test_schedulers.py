@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import graphlib
 import random
 
 import pytest
@@ -7,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import circuits, fig2_circuit, random_circuit, repeating_circuits
-from oracle import reference_asap, reference_extended_dag, reference_heft
-from qos.circuit import Circuit, CircuitError
+from oracle import (
+    edge_successors,
+    reference_asap,
+    reference_extended_dag,
+    reference_heft,
+    reference_paths,
+)
+from qos.circuit import Circuit, CircuitError, Operation
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
     DependencyDag,
@@ -34,6 +41,7 @@ from qos.schedulers import (
 
 DEFAULT = CommutationRuleSet.default()
 STANDARD = CommutationRuleSet.standard()
+MODES = list(DisjunctiveEdgeMode)
 
 
 def ext_graph(circuit, mode=DisjunctiveEdgeMode.GROUPED):
@@ -162,6 +170,50 @@ class TestSemiActive:
                 assert schedule.starts[v] >= schedule.starts[u] + circuit.ops[u].duration
 
 
+@st.composite
+def blocked_circuits(draw):
+    """Alternating blocks of cx sharing control 0 and cx sharing target 0:
+    consecutive runs of two or more ops on qubit 0, which the extended DAG
+    links through join nodes."""
+    ops = []
+    for block in range(draw(st.integers(2, 4))):
+        for _ in range(draw(st.integers(2, 3))):
+            other = draw(st.integers(1, 3))
+            qubits = (0, other) if block % 2 == 0 else (other, 0)
+            ops.append(Operation(len(ops), "cx", qubits, (), draw(st.integers(0, 3))))
+    return Circuit(4, tuple(ops))
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(circuits(), repeating_circuits(), blocked_circuits()),
+    st.randoms(use_true_random=False),
+)
+def test_semi_active_matches_reference_paths(circuit, rng):
+    """semi_active walks the DAG's join graph plus the arcs; the reference
+    walks the op-level edges plus the arcs. A cycle is named by ops alone,
+    each step an edge or an arc. Each graph flips its pairs against source
+    order with its own drawn probability, so both outcomes occur."""
+    for build in (std_graph, ext_graph):
+        for mode in MODES:
+            dag, graph = build(circuit, mode)
+            flip = rng.random()
+            arcs = tuple((l, k) if rng.random() < flip else (k, l) for k, l in graph.sorted_pairs)
+            try:
+                heads, _, _ = reference_paths(
+                    graph.num_ops, [*dag.edges, *arcs], list(graph.durations)
+                )
+            except graphlib.CycleError:
+                with pytest.raises(CycleError) as err:
+                    semi_active(graph, Orientation(arcs))
+                cycle = err.value.cycle
+                assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+                assert all(0 <= v < graph.num_ops for v in cycle)
+                assert all(step in dag.edges or step in arcs for step in zip(cycle, cycle[1:]))
+            else:
+                assert semi_active(graph, Orientation(arcs)).starts == tuple(heads)
+
+
 class TestAsap:
     def test_standard_dag_makespan_three(self, fig2):
         schedule = asap(fig2, build_standard_dag(fig2))
@@ -215,6 +267,12 @@ class TestAsap:
         assert schedule.starts == (0, 5, 0)
         assert schedule == reference_asap(circuit, dag)
 
+    def test_state_is_keyed_by_the_qubits_used(self):
+        # A list per qubit up to the one used would hold 10**9 entries.
+        circuit = Circuit.build(10**9 + 1, [("x", [10**9])], default_duration=1)
+        for dag in (build_standard_dag(circuit), build_extended_dag(circuit, DEFAULT)):
+            assert asap(circuit, dag).starts == (0,)
+
 
 class TestUpwardRank:
     def test_fig2_extended(self, fig2):
@@ -237,8 +295,8 @@ class TestUpwardRank:
             circuit = random_circuit(rng)
             _, graph = ext_graph(circuit)
             ranks = upward_rank(graph)
-            for u in range(graph.num_ops):
-                for v in graph.dag.successors[u]:
+            for u, successors in enumerate(edge_successors(graph.dag)):
+                for v in successors:
                     if graph.durations[u] > 0:
                         assert ranks[u] > ranks[v]
 
