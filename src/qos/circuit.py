@@ -16,8 +16,9 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 
@@ -61,6 +62,10 @@ def _as_duration(value: object, where: str) -> int:
     return value
 
 
+#: Operand and parameter counts of the one- and two-operand gates: Operation's fast test.
+_SHAPES = {g: (n, GATE_PARAMS.get(g, 0)) for g, n in GATE_QUBITS.items() if n <= 2}
+
+
 @dataclass(frozen=True)
 class Operation:
     """One gate instance in a circuit.
@@ -68,6 +73,13 @@ class Operation:
     ``index`` is the position in the source sequence, ``qubits`` the ordered
     operands, ``params`` angles in radians, ``duration`` the processing time
     in dt.
+
+    Construction raises :class:`CircuitError` naming the first of these
+    checks that fails: a non-negative index; a non-empty name; at least one
+    qubit operand, each a non-negative integer (not a bool) and none
+    repeated; for a gate in :data:`GATE_QUBITS`, its operand count; for
+    those gates and "barrier", their parameter count; finite angles; a
+    non-negative integer duration, and zero for "barrier".
     """
 
     index: int
@@ -77,32 +89,46 @@ class Operation:
     duration: int = 0
 
     def __post_init__(self) -> None:
+        qubits, params, duration = self.qubits, self.params, self.duration
+        # One test passes the common valid op; any other op, valid or not,
+        # goes through the checks in their documented order.
+        if (
+            self.index >= 0
+            and _SHAPES.get(self.name) == (len(qubits), len(params))
+            # With one or two operands, the first and the last are all of them.
+            and type(qubits[0]) is type(qubits[-1]) is int
+            and qubits[0] >= 0 and qubits[-1] >= 0
+            and (len(qubits) == 1 or qubits[0] != qubits[1])
+            and type(duration) is int and duration >= 0
+            and (not params or all(map(math.isfinite, params)))
+        ):
+            return
         where = f"op {self.index} ({self.name})"
         if self.index < 0:
             raise CircuitError(f"{where}: negative index")
         if not self.name:
             raise CircuitError(f"op {self.index}: empty gate name")
-        if not self.qubits:
+        if not qubits:
             raise CircuitError(f"{where}: no qubit operands")
-        if any(not isinstance(q, int) or q < 0 for q in self.qubits):
+        if any(isinstance(q, bool) or not isinstance(q, int) or q < 0 for q in qubits):
             raise CircuitError(f"{where}: qubit operands must be non-negative integers")
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(set(qubits)) != len(qubits):
             raise CircuitError(f"{where}: duplicate qubit operand")
         arity = GATE_QUBITS.get(self.name)
-        if arity is not None and len(self.qubits) != arity:
-            raise CircuitError(f"{where}: expects {arity} qubit(s), got {len(self.qubits)}")
+        if arity is not None and len(qubits) != arity:
+            raise CircuitError(f"{where}: expects {arity} qubit(s), got {len(qubits)}")
         if self.name in GATE_QUBITS or self.name == "barrier":
             nparams = GATE_PARAMS.get(self.name, 0)
-            if len(self.params) != nparams:
-                raise CircuitError(f"{where}: expects {nparams} parameter(s), got {len(self.params)}")
-        for p in self.params:
+            if len(params) != nparams:
+                raise CircuitError(f"{where}: expects {nparams} parameter(s), got {len(params)}")
+        for p in params:
             if not math.isfinite(p):
                 raise CircuitError(f"{where}: angle {p!r} is not finite")
-        if isinstance(self.duration, bool) or not isinstance(self.duration, int):
+        if isinstance(duration, bool) or not isinstance(duration, int):
             raise CircuitError(f"{where}: duration must be an integer dt count")
-        if self.duration < 0:
+        if duration < 0:
             raise CircuitError(f"{where}: negative duration")
-        if self.name == "barrier" and self.duration != 0:
+        if self.name == "barrier" and duration != 0:
             raise CircuitError(f"{where}: barriers are zero-duration")
 
 
@@ -237,7 +263,7 @@ def apply_durations(circuit: Circuit, table: DurationTable) -> Circuit:
         if duration is None:
             operands = ",".join(map(str, op.qubits))
             raise CircuitError(f"op {op.index}: no duration for {op.name}({operands})")
-        ops.append(replace(op, duration=duration))
+        ops.append(Operation(op.index, op.name, op.qubits, op.params, duration))
     return Circuit(circuit.num_qubits, tuple(ops))
 
 
@@ -270,29 +296,22 @@ def parse_json_circuit(text: str) -> Circuit:
         if not isinstance(name, str):
             raise CircuitError(f"op {i}: missing gate name")
         qubits = entry.get("qubits")
-        if not isinstance(qubits, list) or any(
-            isinstance(q, bool) or not isinstance(q, int) for q in qubits
-        ):
+        if not isinstance(qubits, list):  # Operation checks each operand
             raise CircuitError(f"op {i} ({name}): qubits must be an array of integers")
         params = entry.get("params", [])
-        if not isinstance(params, list) or any(
-            isinstance(p, bool) or not isinstance(p, (int, float)) for p in params
-        ):
-            raise CircuitError(f"op {i} ({name}): params must be an array of numbers")
-        duration = _as_duration(entry.get("duration", 0), f"op {i} ({name})")
-        try:
-            angles = tuple(float(p) for p in params)
-        except OverflowError as exc:
-            raise CircuitError(f"op {i} ({name}): angle is not finite: {exc}") from exc
-        ops.append(
-            Operation(
-                index=i,
-                name=name.lower(),
-                qubits=tuple(qubits),
-                params=angles,
-                duration=duration,
-            )
-        )
+        if type(params) is not list or (params and not all(type(p) is float for p in params)):
+            if not isinstance(params, list) or any(
+                isinstance(p, bool) or not isinstance(p, (int, float)) for p in params
+            ):
+                raise CircuitError(f"op {i} ({name}): params must be an array of numbers")
+            try:
+                params = [float(p) for p in params]
+            except OverflowError as exc:
+                raise CircuitError(f"op {i} ({name}): angle is not finite: {exc}") from exc
+        duration = entry.get("duration", 0)
+        if type(duration) is not int or duration < 0:
+            duration = _as_duration(duration, f"op {i} ({name})")
+        ops.append(Operation(i, name.lower(), tuple(qubits), tuple(params), duration))
     return Circuit(num_qubits, tuple(ops))
 
 
@@ -323,32 +342,41 @@ _UNSUPPORTED_KEYWORDS = frozenset({"creg", "measure", "reset", "if", "gate", "op
 def _statements(text: str) -> list[tuple[int, str]]:
     """Split source text into ';'-terminated statements with the line number
     of each statement's first non-blank character. '//' comments are
-    stripped."""
+    stripped; a statement spanning lines has its line breaks read as
+    spaces."""
     out: list[tuple[int, str]] = []
-    buf: list[tuple[str, int]] = []
-    lineno = 1
+    parts: list[str] = []  # the open statement, one part per line
+    start = 0  # the line of its first non-blank character; 0 before that
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("//", 1)[0]
-        for ch in code:
-            if ch == ";":
-                stmt = "".join(c for c, _ in buf).strip()
+        for k, part in enumerate(raw.split("//", 1)[0].split(";")):
+            if k:  # a ';' ends the open statement
+                stmt = " ".join(parts).strip()
                 if stmt:
-                    start = next(line for c, line in buf if not c.isspace())
                     out.append((start, stmt))
-                buf = []
-            else:
-                buf.append((ch, lineno))
-        buf.append((" ", lineno))
-    tail = "".join(c for c, _ in buf).strip()
+                parts, start = [], 0
+            if not start and part.strip():
+                start = lineno
+            parts.append(part)
+    tail = " ".join(parts).strip()
     if tail:
-        start = next(line for c, line in buf if not c.isspace())
         raise CircuitError(f"line {start}: statement not terminated with ';': {tail!r}")
     return out
 
 
+#: The binary operators and unary functions of OpenQASM 2.0 angle
+#: expressions; '^' is not among them.
+_ANGLE_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv
+}
+_ANGLE_FUNCTIONS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt
+}
+
+
 def _eval_angle(expr: str, line: int) -> float:
     """Evaluate a parameter expression: numeric literals, 'pi', unary +/-,
-    and the four arithmetic operators."""
+    :data:`_ANGLE_OPERATORS`, and :data:`_ANGLE_FUNCTIONS` applied to one
+    argument. A domain or range error is a :class:`CircuitError`."""
 
     def walk(node: ast.expr) -> float:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
@@ -360,17 +388,12 @@ def _eval_angle(expr: str, line: int) -> float:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             value = walk(node.operand)
             return value if isinstance(node.op, ast.UAdd) else -value
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-        ):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            return left / right
+        if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_OPERATORS:
+            return _ANGLE_OPERATORS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords:
+            function = _ANGLE_FUNCTIONS.get(getattr(node.func, "id", None))
+            if function:
+                return function(walk(node.args[0]))
         raise ValueError(f"unsupported construct {type(node).__name__}")
 
     try:
@@ -408,38 +431,46 @@ def parse_qasm_subset(text: str) -> Circuit:
     reg_name: str | None = None
     reg_size = 0
     ops: list[Operation] = []
+    angles: dict[str, float] = {}  # each distinct angle text is evaluated once
+    indices: dict[str, int] = {}  # and each distinct indexed operand text matched once
     for line, stmt in _statements(text):
-        head = stmt.split(None, 1)[0]
-        if head == "OPENQASM" or head.startswith("include"):
-            continue
-        if head in _UNSUPPORTED_KEYWORDS:
-            raise CircuitError(f"line {line}: unsupported statement {head!r}")
-        qreg = _QREG_RE.match(stmt)
-        if qreg:
-            if reg_name is not None:
-                raise CircuitError(f"line {line}: multiple qreg declarations")
-            reg_name, reg_size = qreg.group(1), int(qreg.group(2))
-            if reg_size < 1:
-                raise CircuitError(f"line {line}: qreg size must be positive")
-            continue
         gate = _GATE_RE.match(stmt)
-        if not gate:
-            raise CircuitError(f"line {line}: cannot parse statement {stmt!r}")
-        name = gate.group(1).lower()
+        name = gate.group(1).lower() if gate else ""
         if name not in QASM_GATES:
+            head = stmt.split(None, 1)[0]
+            if head == "OPENQASM" or head.startswith("include"):
+                continue
+            if head in _UNSUPPORTED_KEYWORDS:
+                raise CircuitError(f"line {line}: unsupported statement {head!r}")
+            qreg = _QREG_RE.match(stmt)
+            if qreg:
+                if reg_name is not None:
+                    raise CircuitError(f"line {line}: multiple qreg declarations")
+                reg_name, reg_size = qreg.group(1), int(qreg.group(2))
+                if reg_size < 1:
+                    raise CircuitError(f"line {line}: qreg size must be positive")
+                continue
+            if not gate:
+                raise CircuitError(f"line {line}: cannot parse statement {stmt!r}")
             raise CircuitError(f"line {line}: unsupported gate {name!r}")
         if reg_name is None:
             raise CircuitError(f"line {line}: gate statement before qreg declaration")
         params_text, operands_text = _split_params(gate.group(2), line)
-        params: tuple[float, ...] = ()
+        params: list[float] = []
         if params_text is not None:
-            raw_params = [p for p in params_text.split(",") if p.strip()]
-            params = tuple(_eval_angle(p, line) for p in raw_params)
+            for p in params_text.split(","):
+                if p.strip():
+                    if p not in angles:
+                        angles[p] = _eval_angle(p, line)
+                    params.append(angles[p])
         operands_text = operands_text.strip()
         if not operands_text:
             raise CircuitError(f"line {line}: {name} needs qubit operands")
         qubits: list[int] = []
         for item in operands_text.split(","):
+            if item in indices:
+                qubits.append(indices[item])
+                continue
             m = _OPERAND_RE.match(item.strip())
             if not m:
                 raise CircuitError(f"line {line}: cannot parse operand {item.strip()!r}")
@@ -458,10 +489,9 @@ def parse_qasm_subset(text: str) -> Circuit:
                         f"line {line}: qubit {idx} out of range for {reg_name}[{reg_size}]"
                     )
                 qubits.append(idx)
+                indices[item] = idx
         try:
-            ops.append(
-                Operation(index=len(ops), name=name, qubits=tuple(qubits), params=params)
-            )
+            ops.append(Operation(len(ops), name, tuple(qubits), tuple(params)))
         except CircuitError as exc:
             raise CircuitError(f"line {line}: {exc}") from exc
     if reg_name is None:

@@ -171,20 +171,18 @@ class DependencyDag:
     @cached_property
     def join_successors(self) -> tuple[tuple[int, ...], ...]:
         """Successor lists of the DAG with a zero-duration join node for
-        each link whose runs both hold two or more ops: every op of the
-        earlier run points to the join, and the join to every op of the
-        later run. Joins are numbered from ``num_ops`` up. Links with a
-        single op on either side stay plain arcs, so this is linear in the
-        runs' sizes, and paths between ops are those of the DAG."""
+        each link between runs of a and b ops where a·b > a + b + 1, that
+        is, where the join's node and a + b arcs are fewer than the a·b
+        plain arcs: every op of the earlier run points to the join, and the
+        join to every op of the later run. Joins are numbered from
+        ``num_ops`` up. Other links stay plain arcs, so this is linear in
+        the runs' sizes, and paths between ops are those of the DAG."""
         succ: list[list[int]] = [[] for _ in range(self.num_ops)]
         joins: list[tuple[int, ...]] = []
         for sources, targets in self.links:
-            if len(sources) == 1:
-                succ[sources[0]].extend(targets)
-            elif len(targets) == 1:
-                target = targets[0]
+            if len(sources) * len(targets) <= len(sources) + len(targets) + 1:
                 for i in sources:
-                    succ[i].append(target)
+                    succ[i].extend(targets)
             else:
                 join = self.num_ops + len(joins)
                 for i in sources:
@@ -296,9 +294,20 @@ class DisjunctiveGraph:
 
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        edges = self.dag.edges
+        # (k, l) is a direct edge when one link holds k among its sources
+        # and l among its targets; unlike the edge set, that stays linear.
+        source_of: list[set[int]] = [set() for _ in range(self.num_ops)]
+        target_of: list[set[int]] = [set() for _ in range(self.num_ops)]
+        for link, (sources, targets) in enumerate(self.dag.links):
+            for i in sources:
+                source_of[i].add(link)
+            for j in targets:
+                target_of[j].add(link)
         return frozenset(
-            p for clique in self.cliques for p in combinations(clique, 2) if p not in edges
+            (k, l)
+            for clique in self.cliques
+            for k, l in combinations(clique, 2)
+            if source_of[k].isdisjoint(target_of[l])
         )
 
     @cached_property

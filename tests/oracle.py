@@ -9,20 +9,38 @@ a pair builder that partitions each qubit's ops into commuting runs itself
 is the reference for ``build_disjunctive_graph``; the extended-DAG builder
 that tests each op against every member of a run and stores the edges
 between consecutive runs one by one is the reference for
-``build_extended_dag``. None of them is on the package's import path.
+``build_extended_dag``; the parsers and ``apply_durations`` below, which
+check each op in the parser and again in ``Operation``, split statements
+one character at a time and rebuild each op through ``replace``, are the
+reference for the load path. None of them is on the package's import path.
 """
 
 from __future__ import annotations
 
 import graphlib
+import json
 import math
 from bisect import insort
 from collections import defaultdict
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
-from qos.circuit import Circuit, Operation
+from qos.circuit import (
+    _GATE_RE,
+    _OPERAND_RE,
+    _QREG_RE,
+    _UNSUPPORTED_KEYWORDS,
+    QASM_GATES,
+    Circuit,
+    CircuitError,
+    DurationTable,
+    Operation,
+    _as_duration,
+    _eval_angle,
+    _split_params,
+)
 from qos.commutation import CommutationRuleSet, commutes
 from qos.depgraph import DependencyDag, DisjunctiveEdgeMode, DisjunctiveGraph
 from qos.schedulers import Schedule, upward_rank
@@ -289,3 +307,168 @@ def reference_extended_dag(circuit: Circuit, rules: CommutationRuleSet) -> Depen
         groups.extend(tuple(run) for run in runs if len(run) > 1)
     links = tuple(((i,), (j,)) for i, j in sorted(edges))
     return DependencyDag(len(circuit.ops), links, rules, tuple(groups))
+
+
+def reference_apply_durations(circuit: Circuit, table: DurationTable) -> Circuit:
+    """Return a copy of ``circuit`` with every operation's duration resolved
+    through ``table``; the input circuit is untouched."""
+    ops = []
+    for op in circuit.ops:
+        duration = table.lookup(op.name, op.qubits)
+        if duration is None:
+            operands = ",".join(map(str, op.qubits))
+            raise CircuitError(f"op {op.index}: no duration for {op.name}({operands})")
+        ops.append(replace(op, duration=duration))
+    return Circuit(circuit.num_qubits, tuple(ops))
+
+
+def reference_parse_json_circuit(text: str) -> Circuit:
+    """Parse the JSON circuit format.
+
+    Top-level object with "num_qubits" and "ops", each op an object with
+    "name", "qubits", optional "params", optional integer "duration".
+    Missing durations default to 0 pending :func:`apply_durations`.
+    """
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the stack
+        raise CircuitError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CircuitError("circuit document must be a JSON object")
+    num_qubits = doc.get("num_qubits")
+    if isinstance(num_qubits, bool) or not isinstance(num_qubits, int):
+        raise CircuitError("num_qubits must be an integer")
+    entries = doc.get("ops", [])
+    if not isinstance(entries, list):
+        raise CircuitError("ops must be an array")
+    ops = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CircuitError(f"op {i}: must be an object")
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise CircuitError(f"op {i}: missing gate name")
+        qubits = entry.get("qubits")
+        if not isinstance(qubits, list) or any(
+            isinstance(q, bool) or not isinstance(q, int) for q in qubits
+        ):
+            raise CircuitError(f"op {i} ({name}): qubits must be an array of integers")
+        params = entry.get("params", [])
+        if not isinstance(params, list) or any(
+            isinstance(p, bool) or not isinstance(p, (int, float)) for p in params
+        ):
+            raise CircuitError(f"op {i} ({name}): params must be an array of numbers")
+        duration = _as_duration(entry.get("duration", 0), f"op {i} ({name})")
+        try:
+            angles = tuple(float(p) for p in params)
+        except OverflowError as exc:
+            raise CircuitError(f"op {i} ({name}): angle is not finite: {exc}") from exc
+        ops.append(
+            Operation(
+                index=i,
+                name=name.lower(),
+                qubits=tuple(qubits),
+                params=angles,
+                duration=duration,
+            )
+        )
+    return Circuit(num_qubits, tuple(ops))
+
+
+def _reference_statements(text: str) -> list[tuple[int, str]]:
+    """Split source text into ';'-terminated statements with the line number
+    of each statement's first non-blank character. '//' comments are
+    stripped."""
+    out: list[tuple[int, str]] = []
+    buf: list[tuple[str, int]] = []
+    lineno = 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("//", 1)[0]
+        for ch in code:
+            if ch == ";":
+                stmt = "".join(c for c, _ in buf).strip()
+                if stmt:
+                    start = next(line for c, line in buf if not c.isspace())
+                    out.append((start, stmt))
+                buf = []
+            else:
+                buf.append((ch, lineno))
+        buf.append((" ", lineno))
+    tail = "".join(c for c, _ in buf).strip()
+    if tail:
+        start = next(line for c, line in buf if not c.isspace())
+        raise CircuitError(f"line {start}: statement not terminated with ';': {tail!r}")
+    return out
+
+
+def reference_parse_qasm_subset(text: str) -> Circuit:
+    """Parse the supported OpenQASM 2.0 subset.
+
+    Accepted statements: an optional "OPENQASM 2.0" version line, include
+    lines (ignored), exactly one qreg declaration, and gate statements among
+    h, x, z, s, t, u1, u2, u3, cx, and barrier. "//" starts a line comment.
+    Classical registers, measurement, reset, conditionals, and gate
+    definitions are rejected with the offending line number.
+    """
+    reg_name: str | None = None
+    reg_size = 0
+    ops: list[Operation] = []
+    for line, stmt in _reference_statements(text):
+        head = stmt.split(None, 1)[0]
+        if head == "OPENQASM" or head.startswith("include"):
+            continue
+        if head in _UNSUPPORTED_KEYWORDS:
+            raise CircuitError(f"line {line}: unsupported statement {head!r}")
+        qreg = _QREG_RE.match(stmt)
+        if qreg:
+            if reg_name is not None:
+                raise CircuitError(f"line {line}: multiple qreg declarations")
+            reg_name, reg_size = qreg.group(1), int(qreg.group(2))
+            if reg_size < 1:
+                raise CircuitError(f"line {line}: qreg size must be positive")
+            continue
+        gate = _GATE_RE.match(stmt)
+        if not gate:
+            raise CircuitError(f"line {line}: cannot parse statement {stmt!r}")
+        name = gate.group(1).lower()
+        if name not in QASM_GATES:
+            raise CircuitError(f"line {line}: unsupported gate {name!r}")
+        if reg_name is None:
+            raise CircuitError(f"line {line}: gate statement before qreg declaration")
+        params_text, operands_text = _split_params(gate.group(2), line)
+        params: tuple[float, ...] = ()
+        if params_text is not None:
+            raw_params = [p for p in params_text.split(",") if p.strip()]
+            params = tuple(_eval_angle(p, line) for p in raw_params)
+        operands_text = operands_text.strip()
+        if not operands_text:
+            raise CircuitError(f"line {line}: {name} needs qubit operands")
+        qubits: list[int] = []
+        for item in operands_text.split(","):
+            m = _OPERAND_RE.match(item.strip())
+            if not m:
+                raise CircuitError(f"line {line}: cannot parse operand {item.strip()!r}")
+            if m.group(1) != reg_name:
+                raise CircuitError(f"line {line}: undeclared register {m.group(1)!r}")
+            if m.group(2) is None:
+                if name != "barrier":
+                    raise CircuitError(
+                        f"line {line}: operand must be indexed like {reg_name}[0]"
+                    )
+                qubits.extend(range(reg_size))
+            else:
+                idx = int(m.group(2))
+                if idx >= reg_size:
+                    raise CircuitError(
+                        f"line {line}: qubit {idx} out of range for {reg_name}[{reg_size}]"
+                    )
+                qubits.append(idx)
+        try:
+            ops.append(
+                Operation(index=len(ops), name=name, qubits=tuple(qubits), params=params)
+            )
+        except CircuitError as exc:
+            raise CircuitError(f"line {line}: {exc}") from exc
+    if reg_name is None:
+        raise CircuitError("no qreg declaration found")
+    return Circuit(reg_size, tuple(ops))

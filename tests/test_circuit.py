@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import circuits
+from oracle import (
+    reference_apply_durations,
+    reference_parse_json_circuit,
+    reference_parse_qasm_subset,
+)
+from test_fuzz import bad_circuits, bad_qasm
 from qos.circuit import (
     Circuit,
     CircuitError,
@@ -142,6 +150,31 @@ class TestParseQasm:
         with pytest.raises(CircuitError, match="line 1: bad parameter expression"):
             parse_qasm_subset("qreg q[1]; u1(1" + "0" * 400 + ") q[0];")
 
+    @pytest.mark.parametrize(
+        "function, value",
+        [
+            ("sin", math.sin(0.5)),
+            ("cos", math.cos(0.5)),
+            ("tan", math.tan(0.5)),
+            ("exp", math.exp(0.5)),
+            ("ln", math.log(0.5)),
+            ("sqrt", math.sqrt(0.5)),
+        ],
+        ids=["sin", "cos", "tan", "exp", "ln", "sqrt"],
+    )
+    def test_unary_angle_function(self, function, value):
+        circuit = parse_qasm_subset(f"qreg q[1]; u1(-{function}(pi/(2*pi))) q[0];")
+        assert circuit.ops[0].params == (-value,)
+
+    @pytest.mark.parametrize("angle", ["ln(-1)", "sqrt(-1)", "exp(1000)", "sin(1, 2)", "sin()", "sin(x=1)", "sinh(1)"])
+    def test_angle_function_outside_its_domain_or_form_rejected(self, angle):
+        with pytest.raises(CircuitError, match="line 2: bad parameter expression"):
+            parse_qasm_subset(f"qreg q[1];\nu1({angle}) q[0];")
+
+    def test_caret_rejected(self):
+        with pytest.raises(CircuitError, match="line 1: bad parameter expression"):
+            parse_qasm_subset("qreg q[1]; u1(2^3) q[0];")
+
     def test_barrier_listed_and_broadcast(self):
         circuit = parse_qasm_subset("qreg q[3]; barrier q[0],q[2]; barrier q;")
         assert circuit.ops[0].qubits == (0, 2)
@@ -244,6 +277,11 @@ class TestInvariants:
         with pytest.raises(CircuitError, match="zero-duration"):
             Operation(0, "barrier", (0, 1), (), 4)
 
+    @pytest.mark.parametrize("qubits", [(True,), (0, False), (1.0,), (-1,), ()])
+    def test_operands_must_be_non_negative_integers(self, qubits):
+        with pytest.raises(CircuitError, match="qubit operand"):
+            Operation(0, "frob" if len(qubits) != 1 else "h", qubits)
+
     def test_num_qubits_positive(self):
         with pytest.raises(CircuitError, match="positive"):
             Circuit(0, ())
@@ -267,3 +305,112 @@ class TestInvariants:
 @pytest.fixture
 def fig2_zero():
     return parse_qasm_subset(FIG2_QASM)
+
+
+# --- the load path against the reference in tests/oracle.py ---------------
+
+_LINE = re.compile(r"line (\d+):")
+_ANGLE_CALL = re.compile(r"(sin|cos|tan|exp|ln|sqrt)\s*\(")
+
+# Angle expressions, valid or not: literals in several spellings, names, and
+# operators, '^' and '**' among them.
+angle_texts = st.recursive(
+    st.sampled_from(["pi", "0", "2", "2.5", "1e-3", ".5", "3.", "1_0", "0x1f", "01", "1e999", "True", "x"])
+    | st.floats(-10, 10, allow_nan=False).map(repr),
+    lambda inner: st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", "**"]), inner).map("".join)
+    | inner.map(lambda e: f"-{e}")
+    | inner.map(lambda e: f"({e})"),
+    max_leaves=5,
+)
+
+
+@st.composite
+def qasm_layouts(draw) -> str:
+    """A drawn circuit in QASM, laid out as files are: statements spanning
+    lines or sharing one, '//' comments holding ';', and LF, CRLF or CR line
+    ends. Angles are drawn expressions, so some statements are malformed."""
+    circuit = draw(circuits(qasm_only=True, max_duration=0))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    gaps = st.sampled_from([" ", "\t ", eol, eol + " " + eol, " // a; b" + eol, eol + "//;" + eol])
+    statements = [["OPENQASM", " 2.0"], ["include", ' "qelib1.inc"'], ["qreg", " q", f"[{circuit.num_qubits}]"]]
+    for op in circuit.ops:
+        tokens = [op.name]
+        if op.params:
+            angles = [draw(angle_texts | st.just(repr(p))) for p in op.params]
+            tokens += ["(", ",".join(angles), ")"]
+        operands = [f"q[{q}]" for q in op.qubits]
+        tokens += [" " + operands[0], *(f",{operand}" for operand in operands[1:])]
+        statements.append(tokens)
+    text = ""
+    for tokens in statements:
+        text += draw(st.just("") | gaps) + "".join(
+            token if i == 0 else draw(st.just("") | gaps) + token for i, token in enumerate(tokens)
+        ) + ";"
+    return text + draw(st.just("") | gaps)
+
+
+def _line(exc: Exception) -> str | None:
+    found = _LINE.match(str(exc))
+    return found and found.group(1)
+
+
+def _same_outcome(parse, reference, text: str) -> bool:
+    """``parse`` gives the circuit ``reference`` gives, or both raise the
+    same ``ValueError`` class (``CircuitError`` among them) naming the same
+    line (or none); True when they raise."""
+    try:
+        expected = reference(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            parse(text)
+        assert _line(err.value) == _line(exc), (str(err.value), str(exc))
+        return True
+    assert parse(text) == expected
+    return False
+
+
+class TestAgainstReference:
+    """The load path accepts what the reference accepts, with an equal
+    circuit, and rejects what it rejects; QASM errors name the same line.
+    Angles calling the functions the reference lacks are left out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qasm_layouts())
+    def test_qasm_layouts(self, text):
+        assume(not _ANGLE_CALL.search(text))
+        _same_outcome(parse_qasm_subset, reference_parse_qasm_subset, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(), st.sampled_from([None, 0, 2]))
+    def test_json(self, circuit, indent):
+        text = circuit_to_json(circuit, indent=indent)
+        assert not _same_outcome(parse_json_circuit, reference_parse_json_circuit, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bad_qasm())
+    def test_malformed_qasm(self, text):
+        assume(not _ANGLE_CALL.search(text))
+        assert _same_outcome(parse_qasm_subset, reference_parse_qasm_subset, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bad_circuits())
+    def test_malformed_json(self, text):
+        assert _same_outcome(parse_json_circuit, reference_parse_json_circuit, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        circuits(),
+        st.dictionaries(st.sampled_from(["h", "x", "u1", "cx", "frob"]), st.integers(0, 9)),
+        st.none() | st.integers(0, 9),
+    )
+    def test_apply_durations(self, circuit, defaults, global_default):
+        table = DurationTable(
+            exact={("cx", (0, 1)): 7, ("frob", (1,)): 3}, defaults=defaults, global_default=global_default
+        )
+        try:
+            expected = reference_apply_durations(circuit, table)
+        except CircuitError as exc:
+            with pytest.raises(CircuitError, match=re.escape(str(exc))):
+                apply_durations(circuit, table)
+        else:
+            assert apply_durations(circuit, table) == expected

@@ -118,6 +118,17 @@ class TestBranchAndBound:
         assert result.nodes == 1
         assert result.makespan == result.lower_bound == 4 * k + 1
 
+    def test_search_leaves_the_edge_set_underived(self):
+        # The DAG holds a 5 x 5 link between the hub's runs: the search
+        # and its pair filter read links, never the op-level edges.
+        gates = [("h", [0], (), 1)]
+        gates += [("cx", [0, t], (), 2) for t in range(1, 6)]
+        gates += [("cx", [c, 0], (), 2) for c in range(1, 6)]
+        _, graph = ext_graph(Circuit.build(6, gates))
+        assert solve_bnb(graph).optimal
+        assert graph.pairs
+        assert "edges" not in graph.dag.__dict__
+
     def test_unsequenced_qubit_is_not_a_machine(self):
         # Ops 0-2 share qubit 0, but nothing orders op 2 against the others,
         # so orientations may overlap it with them: the optimum is 4, below

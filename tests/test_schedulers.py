@@ -173,11 +173,12 @@ class TestSemiActive:
 @st.composite
 def blocked_circuits(draw):
     """Alternating blocks of cx sharing control 0 and cx sharing target 0:
-    consecutive runs of two or more ops on qubit 0, which the extended DAG
-    links through join nodes."""
+    consecutive runs of two to five ops on qubit 0. The extended DAG links
+    two runs of a and b ops through a join node when a·b > a + b + 1 (3 x 3,
+    2 x 4 and up), and with plain arcs otherwise."""
     ops = []
     for block in range(draw(st.integers(2, 4))):
-        for _ in range(draw(st.integers(2, 3))):
+        for _ in range(draw(st.integers(2, 5))):
             other = draw(st.integers(1, 3))
             qubits = (0, other) if block % 2 == 0 else (other, 0)
             ops.append(Operation(len(ops), "cx", qubits, (), draw(st.integers(0, 3))))
