@@ -339,6 +339,13 @@ _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$")
 _UNSUPPORTED_KEYWORDS = frozenset({"creg", "measure", "reset", "if", "gate", "opaque"})
 
 
+def _qasm_int(digits: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise CircuitError(f"line {line}: integer of {len(digits)} digits is too long") from None
+
+
 def _statements(text: str) -> list[tuple[int, str]]:
     """Split source text into ';'-terminated statements with the line number
     of each statement's first non-blank character. '//' comments are
@@ -446,7 +453,7 @@ def parse_qasm_subset(text: str) -> Circuit:
             if qreg:
                 if reg_name is not None:
                     raise CircuitError(f"line {line}: multiple qreg declarations")
-                reg_name, reg_size = qreg.group(1), int(qreg.group(2))
+                reg_name, reg_size = qreg.group(1), _qasm_int(qreg.group(2), line)
                 if reg_size < 1:
                     raise CircuitError(f"line {line}: qreg size must be positive")
                 continue
@@ -483,7 +490,7 @@ def parse_qasm_subset(text: str) -> Circuit:
                     )
                 qubits.extend(range(reg_size))
             else:
-                idx = int(m.group(2))
+                idx = _qasm_int(m.group(2), line)
                 if idx >= reg_size:
                     raise CircuitError(
                         f"line {line}: qubit {idx} out of range for {reg_name}[{reg_size}]"

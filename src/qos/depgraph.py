@@ -64,9 +64,11 @@ def longest_paths(
     node u delays each successor by ``durations[u]``. Raises
     :class:`CycleError` naming a cycle if the arcs are not acyclic."""
     num_ops = len(successors)
-    succs = [list(out) for out in successors]
-    for u, v in arcs:
-        succs[u].append(v)
+    succs = successors
+    if arcs:
+        succs = [list(out) for out in successors]
+        for u, v in arcs:
+            succs[u].append(v)
     indegree = [0] * num_ops
     for out in succs:
         for v in out:

@@ -125,14 +125,20 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     the longest path through the fixed arcs and, for each qubit that
     :func:`_machines` accepts, the one-machine bound of
     :func:`_jackson_bound` over the qubit's positive-duration ops, with the
-    heads and tails of the last propagation pass; (3) otherwise branch on an
-    unoriented pair with both endpoints on a current critical path (lowest
-    pair index first), trying the source-order direction before the
-    reverse. Leaves are evaluated semi-actively. The initial incumbent comes
-    from the list-scheduling heuristic. Exhausting the tree inside the time
-    limit proves optimality; otherwise the best incumbent is returned with
-    the optimality flag cleared, and as lower bound the root node's (or,
-    when the root was not reached, the conjunctive DAG's longest path).
+    node's heads and tails; (3) otherwise branch on an unoriented pair with
+    both endpoints on a current critical path (lowest pair index first),
+    trying the source-order direction before the reverse. Leaves are
+    evaluated semi-actively. The initial incumbent comes from the
+    list-scheduling heuristic. Exhausting the tree inside the time limit
+    proves optimality; otherwise the best incumbent is returned with the
+    optimality flag cleared, and as lower bound the root node's (or, when
+    the root was not reached, the conjunctive DAG's longest path).
+
+    Propagation is incremental. The root reads the conjunctive DAG's one
+    longest-path pass. Below it, heads, tails and reachability over the
+    join graph are updated from each branching arc alone, and undone on
+    backtracking. An arc a pair is forced into is implied by a path, so it
+    changes no head, tail or reach and forces nothing further.
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
@@ -145,62 +151,39 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     best_makespan = best.makespan
     nodes = 0
     conjunctive = dag.paths(durations, reach=True)
-    lower_bound = max(conjunctive.tails, default=0)
+    heads, tails, reach = conjunctive
+    lower_bound = max(tails, default=0)
 
     # Given two or more ops, itemgetter picks a tuple out of a per-op list.
-    picks = [itemgetter(*ops) for ops in _machines(g, conjunctive.reach).values()]
+    picks = [itemgetter(*ops) for ops in _machines(g, reach).values()]
     machine_durations = [pick(durations) for pick in picks]
     # Per machine, the heads and tails its bound was last computed from, and
     # that bound: nodes deep in one subtree often leave a machine unchanged.
     seen: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(picks)
     values = [0] * len(picks)
 
-    # One shared assignment map with an undo trail keeps the depth-first walk
-    # iterative (pair counts can exceed the recursion limit) and cheap.
-    fixed: dict[int, tuple[int, int]] = {}
-    trail: list[int] = []
+    # The search state is changed in place, and each change is recorded on
+    # the trail as (list, index, old value) so that backtracking can undo
+    # it; the walk stays iterative (pair counts can exceed the recursion
+    # limit), and its memory grows with the changes, not the depth.
+    fixed = [bool(reach[k] >> l & 1 or reach[l] >> k & 1) for k, l in pairs]
+    trail: list[tuple[list, int, object]] = []
 
-    def assign(idx: int, arc: tuple[int, int]) -> None:
-        fixed[idx] = arc
-        trail.append(idx)
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            del fixed[trail.pop()]
-
-    def expand() -> tuple[int, list[tuple[int, int]]] | None:
-        """Process one search node under the current assignments: propagate,
-        bound, evaluate leaves. Returns the branching pair and the direction
-        order to try, or None when the node is closed."""
+    def expand(left: int) -> list[tuple[int, int]] | None:
+        """Bound and evaluate one search node, whose propagation is done
+        and which has ``left`` unoriented pairs. Returns the branching
+        pair's directions in the order to try, or None when the node is
+        closed."""
         nonlocal best, best_makespan, nodes, lower_bound
         nodes += 1
         if time.perf_counter() > deadline:
             raise _TimeLimit
-        # Propagate to a fixpoint: a path between a pair's endpoints forces
-        # its direction, and new arcs can force further pairs. The last pass,
-        # which forces nothing, describes the node's graph.
-        while True:
-            paths = dag.paths(durations, fixed.values(), reach=True)
-            reach = paths.reach
-            forced = False
-            for idx, (k, l) in enumerate(pairs):
-                if idx in fixed:
-                    continue
-                if reach[k] >> l & 1:
-                    assign(idx, (k, l))
-                    forced = True
-                elif reach[l] >> k & 1:
-                    assign(idx, (l, k))
-                    forced = True
-            if not forced:
-                break
-        heads, tails = paths.heads, paths.tails
         longest = bound = max(tails, default=0)
         if bound >= best_makespan:
             return None
-        if len(fixed) == len(pairs):
+        if not left:
             # All pairs oriented: the heads are the semi-active schedule.
-            best, best_makespan = Schedule.from_starts(heads, durations), bound
+            best, best_makespan = Schedule.from_starts(heads[:n], durations), bound
             return None
         for m, pick in enumerate(picks):
             key = (pick(heads), pick(tails))
@@ -217,33 +200,112 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
             (
                 idx
                 for idx, (k, l) in enumerate(pairs)
-                if idx not in fixed and k in critical and l in critical
+                if not fixed[idx] and k in critical and l in critical
             ),
             None,
         )
         if choice is None:
-            choice = next(idx for idx in range(len(pairs)) if idx not in fixed)
+            choice = fixed.index(False)
         k, l = pairs[choice]
-        return choice, [(k, l), (l, k)]
+        return [(k, l), (l, k)]
+
+    def fix(u: int, v: int) -> int:
+        """Add the arc u -> v, where neither op reaches the other yet, and
+        orient every pair it newly orders. Returns how many it orients."""
+        below = reach[v] | 1 << v
+        # The nodes that reach u but not v now reach all of ``below``. The
+        # walk stops at a node that reaches v: it and its ancestors already do.
+        ancestors = []
+        todo = [u]
+        while todo:
+            w = todo.pop()
+            bits = reach[w]
+            if not bits >> v & 1:
+                trail.append((reach, w, bits))
+                reach[w] = bits | below
+                ancestors.append(w)
+                todo.extend(preds[w])
+        trail.append((succs, u, succs[u]))
+        succs[u] = (*succs[u], v)
+        trail.append((preds, v, preds[v]))
+        preds[v] = [*preds[v], u]
+        # Raise heads forward from u and tails backward from v, where they
+        # grow; only the new arc can raise them.
+        todo = [u]
+        while todo:
+            w = todo.pop()
+            finish = heads[w] + delays[w]
+            for x in succs[w]:
+                if heads[x] < finish:
+                    trail.append((heads, x, heads[x]))
+                    heads[x] = finish
+                    todo.append(x)
+        todo = [v]
+        while todo:
+            w = todo.pop()
+            tail = tails[w]
+            for x in preds[w]:
+                if tails[x] < tail + delays[x]:
+                    trail.append((tails, x, tails[x]))
+                    tails[x] = tail + delays[x]
+                    todo.append(x)
+        oriented = 0
+        for a in ancestors:
+            if a < n:
+                ends = partners[a] & below
+                while ends:
+                    low = ends & -ends
+                    ends ^= low
+                    idx = pair_at[a][low.bit_length() - 1]
+                    if not fixed[idx]:
+                        trail.append((fixed, idx, False))
+                        fixed[idx] = True
+                        oriented += 1
+        return oriented
 
     optimal = True
-    # Stack frames: (trail mark after this node's propagation, branching
-    # pair, directions still to try). Source-order direction goes first.
+    # Stack frames: (trail mark after this node's propagation, its count of
+    # unoriented pairs, directions still to try). Source-order direction goes first.
     stack: list[tuple[int, int, list[tuple[int, int]]]] = []
     try:
-        branch = expand()
-        if branch is not None:
-            stack.append((len(trail), *branch))
+        left = fixed.count(False)
+        directions = expand(left)
+        if directions is not None:
+            # Extend the root's state from the ops to the join graph: a join
+            # takes no time and relays its sources to its targets.
+            succs = list(dag.join_successors)
+            joins = (0,) * (len(succs) - n)
+            delays = [*durations, *joins]
+            heads, tails, reach = [*heads, *joins], [*tails, *joins], [*reach, *joins]
+            preds: list[list[int]] = [[] for _ in succs]
+            for w, out in enumerate(succs):
+                for x in out:
+                    preds[x].append(w)
+                    if x >= n:
+                        heads[x] = max(heads[x], heads[w] + delays[w])
+                if w >= n:
+                    tails[w] = max(map(tails.__getitem__, out))
+                    for x in out:
+                        reach[w] |= 1 << x | reach[x]
+            partners = [0] * n
+            pair_at: list[dict[int, int]] = [{} for _ in range(n)]
+            for idx, (k, l) in enumerate(pairs):
+                partners[k] |= 1 << l
+                partners[l] |= 1 << k
+                pair_at[k][l] = pair_at[l][k] = idx
+            stack.append((0, left, directions))
         while stack:
-            mark, choice, directions = stack[-1]
-            undo(mark)
+            mark, left, directions = stack[-1]
+            while len(trail) > mark:
+                state, i, old = trail.pop()
+                state[i] = old
             if not directions:
                 stack.pop()
                 continue
-            assign(choice, directions.pop(0))
-            branch = expand()
-            if branch is not None:
-                stack.append((len(trail), *branch))
+            left -= fix(*directions.pop(0))
+            directions = expand(left)
+            if directions is not None:
+                stack.append((len(trail), left, directions))
     except _TimeLimit:
         optimal = False
     if optimal:

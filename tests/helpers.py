@@ -45,6 +45,17 @@ def random_circuit(rng: random.Random, max_qubits: int = 5, max_ops: int = 10) -
     return Circuit.build(nq, gates)
 
 
+def pool_circuit(rng: random.Random, num_qubits: int, num_ops: int) -> Circuit:
+    """Random circuit of the given size from the corpus pool, with every
+    angle 0.5 (so that identical ops recur) and durations uniform in 0..10."""
+    gates = []
+    for _ in range(num_ops):
+        name = rng.choice(_CORPUS_POOL)
+        qubits = tuple(rng.sample(range(num_qubits), 2)) if name == "cx" else (rng.randrange(num_qubits),)
+        gates.append((name, qubits, (0.5,) * PARAM_COUNT.get(name, 0), rng.randint(0, 10)))
+    return Circuit.build(num_qubits, gates)
+
+
 def make_corpus(seed: int = 20260809, size: int = 200) -> list[Circuit]:
     rng = random.Random(seed)
     return [random_circuit(rng) for _ in range(size)]
@@ -86,6 +97,20 @@ def circuits(
         duration = 0 if name == "barrier" else draw(st.integers(0, max_duration))
         ops.append(Operation(i, name, qubits, params, duration))
     return Circuit(nq, tuple(ops))
+
+
+def branching_circuits():
+    """Hypothesis strategy for circuits on which the branch and bound
+    searches: :func:`pool_circuit` of 15 to 30 ops on 3 to 6 qubits, from a
+    drawn seed. The extended-DAG search branches on about a third of them;
+    on ops drawn one at a time by hypothesis, it branched on as few as a
+    tenth."""
+    return st.builds(
+        lambda seed, nq, nops: pool_circuit(random.Random(seed), nq, nops),
+        st.integers(0, 2**32),
+        st.integers(3, 6),
+        st.integers(15, 30),
+    )
 
 
 # Few distinct ops on three qubits, so that a drawn circuit repeats the

@@ -12,7 +12,10 @@ between consecutive runs one by one is the reference for
 ``build_extended_dag``; the parsers and ``apply_durations`` below, which
 check each op in the parser and again in ``Operation``, split statements
 one character at a time and rebuild each op through ``replace``, are the
-reference for the load path. None of them is on the package's import path.
+reference for the load path; the branch and bound that runs a full
+longest-path pass with reachability at every search node, and again after
+forcing a pair, is the reference for ``solve_bnb``. None of them is on the
+package's import path.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from __future__ import annotations
 import graphlib
 import json
 import math
+import time
 from bisect import insort
 from collections import defaultdict
 from dataclasses import replace
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,7 +48,8 @@ from qos.circuit import (
 )
 from qos.commutation import CommutationRuleSet, commutes
 from qos.depgraph import DependencyDag, DisjunctiveEdgeMode, DisjunctiveGraph
-from qos.schedulers import Schedule, upward_rank
+from qos.exact import SolveResult, SolverConfig, _jackson_bound, _machines, _TimeLimit
+from qos.schedulers import Schedule, heft, upward_rank
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -472,3 +478,140 @@ def reference_parse_qasm_subset(text: str) -> Circuit:
     if reg_name is None:
         raise CircuitError("no qreg declaration found")
     return Circuit(reg_size, tuple(ops))
+
+
+def reference_solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:
+    """Depth-first branch and bound over pair orientations.
+
+    At each node: (1) propagate, orienting any pair whose endpoints are
+    already connected by a path through the fixed arcs; (2) prune when the
+    lower bound reaches the incumbent makespan. The bound is the larger of
+    the longest path through the fixed arcs and, for each qubit that
+    :func:`_machines` accepts, the one-machine bound of
+    :func:`_jackson_bound` over the qubit's positive-duration ops, with the
+    heads and tails of the last propagation pass; (3) otherwise branch on an
+    unoriented pair with both endpoints on a current critical path (lowest
+    pair index first), trying the source-order direction before the
+    reverse. Leaves are evaluated semi-actively. The initial incumbent comes
+    from the list-scheduling heuristic. Exhausting the tree inside the time
+    limit proves optimality; otherwise the best incumbent is returned with
+    the optimality flag cleared, and as lower bound the root node's (or,
+    when the root was not reached, the conjunctive DAG's longest path).
+    """
+    cfg = config or SolverConfig()
+    t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit
+    n = g.num_ops
+    durations = g.durations
+    dag = g.dag
+    pairs = g.sorted_pairs
+    best = heft(g)
+    best_makespan = best.makespan
+    nodes = 0
+    conjunctive = dag.paths(durations, reach=True)
+    lower_bound = max(conjunctive.tails, default=0)
+
+    # Given two or more ops, itemgetter picks a tuple out of a per-op list.
+    picks = [itemgetter(*ops) for ops in _machines(g, conjunctive.reach).values()]
+    machine_durations = [pick(durations) for pick in picks]
+    # Per machine, the heads and tails its bound was last computed from, and
+    # that bound: nodes deep in one subtree often leave a machine unchanged.
+    seen: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(picks)
+    values = [0] * len(picks)
+
+    # One shared assignment map with an undo trail keeps the depth-first walk
+    # iterative (pair counts can exceed the recursion limit) and cheap.
+    fixed: dict[int, tuple[int, int]] = {}
+    trail: list[int] = []
+
+    def assign(idx: int, arc: tuple[int, int]) -> None:
+        fixed[idx] = arc
+        trail.append(idx)
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            del fixed[trail.pop()]
+
+    def expand() -> tuple[int, list[tuple[int, int]]] | None:
+        """Process one search node under the current assignments: propagate,
+        bound, evaluate leaves. Returns the branching pair and the direction
+        order to try, or None when the node is closed."""
+        nonlocal best, best_makespan, nodes, lower_bound
+        nodes += 1
+        if time.perf_counter() > deadline:
+            raise _TimeLimit
+        # Propagate to a fixpoint: a path between a pair's endpoints forces
+        # its direction, and new arcs can force further pairs. The last pass,
+        # which forces nothing, describes the node's graph.
+        while True:
+            paths = dag.paths(durations, fixed.values(), reach=True)
+            reach = paths.reach
+            forced = False
+            for idx, (k, l) in enumerate(pairs):
+                if idx in fixed:
+                    continue
+                if reach[k] >> l & 1:
+                    assign(idx, (k, l))
+                    forced = True
+                elif reach[l] >> k & 1:
+                    assign(idx, (l, k))
+                    forced = True
+            if not forced:
+                break
+        heads, tails = paths.heads, paths.tails
+        longest = bound = max(tails, default=0)
+        if bound >= best_makespan:
+            return None
+        if len(fixed) == len(pairs):
+            # All pairs oriented: the heads are the semi-active schedule.
+            best, best_makespan = Schedule.from_starts(heads, durations), bound
+            return None
+        for m, pick in enumerate(picks):
+            key = (pick(heads), pick(tails))
+            if seen[m] != key:
+                seen[m] = key
+                values[m] = _jackson_bound(zip(*key, machine_durations[m]))
+            bound = max(bound, values[m])
+            if bound >= best_makespan:
+                return None
+        if nodes == 1:
+            lower_bound = bound
+        critical = {v for v in range(n) if heads[v] + tails[v] == longest}
+        choice = next(
+            (
+                idx
+                for idx, (k, l) in enumerate(pairs)
+                if idx not in fixed and k in critical and l in critical
+            ),
+            None,
+        )
+        if choice is None:
+            choice = next(idx for idx in range(len(pairs)) if idx not in fixed)
+        k, l = pairs[choice]
+        return choice, [(k, l), (l, k)]
+
+    optimal = True
+    # Stack frames: (trail mark after this node's propagation, branching
+    # pair, directions still to try). Source-order direction goes first.
+    stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+    try:
+        branch = expand()
+        if branch is not None:
+            stack.append((len(trail), *branch))
+        while stack:
+            mark, choice, directions = stack[-1]
+            undo(mark)
+            if not directions:
+                stack.pop()
+                continue
+            assign(choice, directions.pop(0))
+            branch = expand()
+            if branch is not None:
+                stack.append((len(trail), *branch))
+    except _TimeLimit:
+        optimal = False
+    if optimal:
+        lower_bound = best.makespan
+    return SolveResult(
+        best, best.makespan, optimal, nodes, time.perf_counter() - t0, lower_bound
+    )

@@ -6,8 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import circuits, fig2_circuit, random_circuit, read_lp
-from oracle import edge_successors
+from helpers import (
+    branching_circuits,
+    circuits,
+    fig2_circuit,
+    pool_circuit,
+    random_circuit,
+    read_lp,
+)
+from oracle import edge_successors, reference_solve_bnb
 from qos.circuit import Circuit
 from qos.commutation import CommutationRuleSet
 from qos.depgraph import (
@@ -323,6 +330,51 @@ def test_bnb_matches_bruteforce_with_its_lower_bound(circuit):
             if exact.optimal:
                 assert exact.lower_bound == exact.makespan
             assert brute.lower_bound == brute.makespan
+
+
+def _search(result):
+    return result.schedule, result.optimal, result.nodes, result.lower_bound
+
+
+def _same_search_as_reference(circuit) -> int:
+    """Solve every graph of ``circuit`` (both DAGs, every mode) with the
+    branch and bound and its reference, under a time limit neither
+    reaches, require the same search, and return the most nodes."""
+    unlimited = SolverConfig(time_limit=600.0)
+    most = 0
+    for rules, dag in (
+        (STANDARD, build_standard_dag(circuit)),
+        (DEFAULT, build_extended_dag(circuit, DEFAULT)),
+    ):
+        for mode in DisjunctiveEdgeMode:
+            graph = build_disjunctive_graph(circuit, dag, rules, mode)
+            result = solve_bnb(graph, unlimited)
+            assert _search(result) == _search(reference_solve_bnb(graph, unlimited)), mode
+            assert result.optimal
+            most = max(most, result.nodes)
+    return most
+
+
+def test_incremental_search_matches_the_reference():
+    """Incremental heads, tails and reach give the search tree of a full
+    longest-path pass per node: same schedule, proof, node count and lower
+    bound. At least one drawn circuit in six must make it branch (about
+    one in three does)."""
+    branched = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(branching_circuits())
+    def check(circuit):
+        branched.append(_same_search_as_reference(circuit) > 1)
+
+    check()
+    assert 6 * sum(branched) >= len(branched), f"{sum(branched)} of {len(branched)} branched"
+
+
+@pytest.mark.parametrize("seed", [12, 49, 59])
+def test_incremental_search_matches_the_reference_at_30_ops(seed):
+    circuit = pool_circuit(random.Random(seed), 6, 30)
+    assert _same_search_as_reference(circuit) >= 300
 
 
 def test_relaxation_monotone_against_standard_baseline():
