@@ -332,9 +332,9 @@ def circuit_to_json(circuit: Circuit, *, indent: int | None = 2) -> str:
 
 # --- OpenQASM 2.0 subset ------------------------------------------------------
 
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$")
 _GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(.*)$", re.DOTALL)
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$")
+_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*([0-9]+)\s*\])?$")
 
 _UNSUPPORTED_KEYWORDS = frozenset({"creg", "measure", "reset", "if", "gate", "opaque"})
 

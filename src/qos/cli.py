@@ -166,12 +166,16 @@ def format_compare_table(rows: list[CompareRow]) -> str:
 
 
 def format_compare_csv(rows: list[CompareRow]) -> str:
-    """Unformatted CSV: raw integers, delta as a bare two-decimal number."""
+    """Unformatted CSV: raw integers, delta as a bare two-decimal number;
+    a name with a comma, quote or line break is quoted (RFC 4180)."""
     lines = ["circuit,qubits,gates,std_dag,ext_dag,delta_pct"]
     for row in rows:
         delta = "" if row.delta is None else str(row.delta)
+        name = row.name
+        if any(c in name for c in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
         lines.append(
-            f"{row.name},{row.num_qubits},{row.num_gates},"
+            f"{name},{row.num_qubits},{row.num_gates},"
             f"{row.std_makespan},{row.ext_makespan},{delta}"
         )
     return "\n".join(lines) + "\n"

@@ -15,9 +15,10 @@ On top of a conjunctive DAG, a disjunctive graph adds the unordered pairs
 whose relative order a scheduler is free to choose; three generation
 policies of different tightness are available. It stores them as cliques
 (the per-qubit runs) and derives the pairs on first use. One kernel,
-:func:`longest_paths`, computes longest paths and reachability; every pass
-over a DAG, with or without oriented pairs, reaches it through
-:meth:`DependencyDag.paths`.
+:func:`longest_paths`, computes longest paths and reachability; every
+op-level pass over a DAG, with or without oriented pairs, reaches it
+through :meth:`DependencyDag.paths`. The branch and bound, whose search
+state covers the join nodes too, runs it over the join graph itself.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ class DependencyDag:
 
     A link between runs of a and b ops stands for a·b edges. The op-level
     views ``edges``, ``sorted_edges`` and ``reachable`` are derived from
-    the links on first use and cached. Every longest-path pass goes through
-    :meth:`paths`, which walks :attr:`join_successors`; that stays linear.
+    the links on first use and cached. Every op-level longest-path pass
+    goes through :meth:`paths`, which walks :attr:`join_successors`; that
+    stays linear.
     """
 
     num_ops: int
@@ -484,11 +486,13 @@ def build_disjunctive_graph(
 
 def export_dot(g: DisjunctiveGraph) -> str:
     """Render as Graphviz DOT: solid directed conjunctive edges, dashed
-    undirected disjunctive pairs, node labels "name(qubits) p=duration"."""
+    undirected disjunctive pairs, node labels "name(qubits) p=duration",
+    with any backslash or double quote in the name escaped."""
     lines = ["digraph dependencies {", "  rankdir=LR;"]
     for i in range(g.num_ops):
+        name = g.names[i].replace("\\", "\\\\").replace('"', '\\"')
         operands = ",".join(map(str, g.qubits[i]))
-        lines.append(f'  n{i} [label="{g.names[i]}({operands}) p={g.durations[i]}"];')
+        lines.append(f'  n{i} [label="{name}({operands}) p={g.durations[i]}"];')
     for i, j in g.dag.sorted_edges:
         lines.append(f"  n{i} -> n{j};")
     for k, l in g.sorted_pairs:

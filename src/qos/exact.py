@@ -20,7 +20,7 @@ from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .depgraph import CycleError, DisjunctiveGraph
+from .depgraph import CycleError, DisjunctiveGraph, longest_paths
 from .schedulers import Orientation, Schedule, heft, semi_active
 
 
@@ -88,11 +88,12 @@ def _jackson_bound(jobs: Iterable[tuple[int, int, int]]) -> int:
     return value
 
 
-def _machines(g: DisjunctiveGraph, reach: Sequence[int]) -> dict[int, list[int]]:
+def _machines(g: DisjunctiveGraph, reach: Sequence[int], partners: Sequence[int]) -> dict[int, list[int]]:
     """Per qubit, its positive-duration ops in index order, for the qubits
     whose ops every orientation runs one at a time: each two of them are
     joined by a conjunctive path (``reach`` holds the DAG's reachability
-    bitsets) or form a disjunctive pair. Graphs from
+    bitsets) or form a disjunctive pair (``partners`` holds each op's pair
+    partners as a bitset). Graphs from
     :func:`~qos.depgraph.build_disjunctive_graph` meet this on every qubit.
     Qubits with fewer than two such ops are left out."""
     by_qubit: dict[int, list[int]] = {}
@@ -100,14 +101,11 @@ def _machines(g: DisjunctiveGraph, reach: Sequence[int]) -> dict[int, list[int]]
         if duration > 0:
             for q in g.qubits[v]:
                 by_qubit.setdefault(q, []).append(v)
-    later_partners = [0] * g.num_ops  # bit l of entry k: (k, l) is a pair
-    for k, l in g.pairs:
-        later_partners[k] |= 1 << l
     machines: dict[int, list[int]] = {}
     for q, ops in sorted(by_qubit.items()):
         later = 0  # the ops after v; conjunctive paths only point forward
         for v in reversed(ops):
-            if later & ~(reach[v] | later_partners[v]):
+            if later & ~(reach[v] | partners[v]):
                 break
             later |= 1 << v
         else:
@@ -134,11 +132,11 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     optimality flag cleared, and as lower bound the root node's (or, when
     the root was not reached, the conjunctive DAG's longest path).
 
-    Propagation is incremental. The root reads the conjunctive DAG's one
-    longest-path pass. Below it, heads, tails and reachability over the
-    join graph are updated from each branching arc alone, and undone on
-    backtracking. An arc a pair is forced into is implied by a path, so it
-    changes no head, tail or reach and forces nothing further.
+    Propagation is incremental. One :func:`~qos.depgraph.longest_paths`
+    pass over the join graph (ops and join nodes) gives the root's heads,
+    tails and reach; below it, they are updated from each branching arc
+    alone, and undone on backtracking. An arc a pair is forced into is
+    implied by a path, so it changes no head, tail or reach.
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
@@ -150,12 +148,18 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     best = heft(g)
     best_makespan = best.makespan
     nodes = 0
-    conjunctive = dag.paths(durations, reach=True)
-    heads, tails, reach = conjunctive
+    # A join node takes no time and relays its sources to its targets.
+    succs = list(dag.join_successors)
+    delays = [*durations, *(0,) * (len(succs) - n)]
+    heads, tails, reach = longest_paths(succs, delays, reach=True)
     lower_bound = max(tails, default=0)
+    partners = [0] * n  # bit l of entry k: (k, l) or (l, k) is a pair
+    for k, l in pairs:
+        partners[k] |= 1 << l
+        partners[l] |= 1 << k
 
     # Given two or more ops, itemgetter picks a tuple out of a per-op list.
-    picks = [itemgetter(*ops) for ops in _machines(g, reach).values()]
+    picks = [itemgetter(*ops) for ops in _machines(g, reach, partners).values()]
     machine_durations = [pick(durations) for pick in picks]
     # Per machine, the heads and tails its bound was last computed from, and
     # that bound: nodes deep in one subtree often leave a machine unchanged.
@@ -165,8 +169,9 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     # The search state is changed in place, and each change is recorded on
     # the trail as (list, index, old value) so that backtracking can undo
     # it; the walk stays iterative (pair counts can exceed the recursion
-    # limit), and its memory grows with the changes, not the depth.
-    fixed = [bool(reach[k] >> l & 1 or reach[l] >> k & 1) for k, l in pairs]
+    # limit), and its memory grows with the changes, not the depth. Links
+    # point forward, so in a pair (k, l) only k can reach the other end.
+    fixed = [bool(reach[k] >> l & 1) for k, l in pairs]
     trail: list[tuple[list, int, object]] = []
 
     def expand(left: int) -> list[tuple[int, int]] | None:
@@ -271,27 +276,12 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
         left = fixed.count(False)
         directions = expand(left)
         if directions is not None:
-            # Extend the root's state from the ops to the join graph: a join
-            # takes no time and relays its sources to its targets.
-            succs = list(dag.join_successors)
-            joins = (0,) * (len(succs) - n)
-            delays = [*durations, *joins]
-            heads, tails, reach = [*heads, *joins], [*tails, *joins], [*reach, *joins]
             preds: list[list[int]] = [[] for _ in succs]
             for w, out in enumerate(succs):
                 for x in out:
                     preds[x].append(w)
-                    if x >= n:
-                        heads[x] = max(heads[x], heads[w] + delays[w])
-                if w >= n:
-                    tails[w] = max(map(tails.__getitem__, out))
-                    for x in out:
-                        reach[w] |= 1 << x | reach[x]
-            partners = [0] * n
             pair_at: list[dict[int, int]] = [{} for _ in range(n)]
             for idx, (k, l) in enumerate(pairs):
-                partners[k] |= 1 << l
-                partners[l] |= 1 << k
                 pair_at[k][l] = pair_at[l][k] = idx
             stack.append((0, left, directions))
         while stack:

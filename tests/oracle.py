@@ -14,8 +14,8 @@ check each op in the parser and again in ``Operation``, split statements
 one character at a time and rebuild each op through ``replace``, are the
 reference for the load path; the branch and bound that runs a full
 longest-path pass with reachability at every search node, and again after
-forcing a pair, is the reference for ``solve_bnb``. None of them is on the
-package's import path.
+forcing a pair, with a machine test that indexes the pairs itself, is the
+reference for ``solve_bnb``. None of them is on the package's import path.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from collections import defaultdict
 from dataclasses import replace
 from itertools import combinations
 from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from qos.circuit import (
 )
 from qos.commutation import CommutationRuleSet, commutes
 from qos.depgraph import DependencyDag, DisjunctiveEdgeMode, DisjunctiveGraph
-from qos.exact import SolveResult, SolverConfig, _jackson_bound, _machines, _TimeLimit
+from qos.exact import SolveResult, SolverConfig, _jackson_bound, _TimeLimit
 from qos.schedulers import Schedule, heft, upward_rank
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -478,6 +479,34 @@ def reference_parse_qasm_subset(text: str) -> Circuit:
     if reg_name is None:
         raise CircuitError("no qreg declaration found")
     return Circuit(reg_size, tuple(ops))
+
+
+def _machines(g: DisjunctiveGraph, reach: Sequence[int]) -> dict[int, list[int]]:
+    """Per qubit, its positive-duration ops in index order, for the qubits
+    whose ops every orientation runs one at a time: each two of them are
+    joined by a conjunctive path (``reach`` holds the DAG's reachability
+    bitsets) or form a disjunctive pair. Graphs from
+    :func:`~qos.depgraph.build_disjunctive_graph` meet this on every qubit.
+    Qubits with fewer than two such ops are left out."""
+    by_qubit: dict[int, list[int]] = {}
+    for v, duration in enumerate(g.durations):
+        if duration > 0:
+            for q in g.qubits[v]:
+                by_qubit.setdefault(q, []).append(v)
+    later_partners = [0] * g.num_ops  # bit l of entry k: (k, l) is a pair
+    for k, l in g.pairs:
+        later_partners[k] |= 1 << l
+    machines: dict[int, list[int]] = {}
+    for q, ops in sorted(by_qubit.items()):
+        later = 0  # the ops after v; conjunctive paths only point forward
+        for v in reversed(ops):
+            if later & ~(reach[v] | later_partners[v]):
+                break
+            later |= 1 << v
+        else:
+            if len(ops) > 1:
+                machines[q] = ops
+    return machines
 
 
 def reference_solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:

@@ -158,6 +158,15 @@ class TestParseQasm:
         with pytest.raises(CircuitError, match="line 3: integer of 5000 digits is too long"):
             parse_qasm_subset("qreg q[2];\nh q[0];\ncx q[0],q[" + "1" * 5000 + "];")
 
+    def test_qreg_size_in_non_ascii_digits_rejected_with_line(self):
+        # Arabic-Indic three: a Unicode decimal digit that int() would take.
+        with pytest.raises(CircuitError, match="line 2: "):
+            parse_qasm_subset("OPENQASM 2.0;\nqreg q[٣];\nh q[0];")
+
+    def test_operand_index_in_non_ascii_digits_rejected_with_line(self):
+        with pytest.raises(CircuitError, match=r"line 3: cannot parse operand 'q\[٢\]'"):
+            parse_qasm_subset("qreg q[3];\nh q[0];\nh q[٢];")
+
     @pytest.mark.parametrize(
         "function, value",
         [

@@ -73,6 +73,16 @@ class TestFormatting:
             "mini_alu_305,10,173,24940,24308,2.53\n"
         )
 
+    def test_csv_quotes_a_name_with_a_comma_quote_or_line_break(self):
+        rows = [CompareRow(name, 2, 2, 2, 2) for name in ("a,b", 'say "hi"', "two\nlines", "ok")]
+        assert format_compare_csv(rows).splitlines(keepends=True)[1:] == [
+            '"a,b",2,2,2,2,0.00\n',
+            '"say ""hi""",2,2,2,2,0.00\n',
+            '"two\n',
+            'lines",2,2,2,2,0.00\n',
+            "ok,2,2,2,2,0.00\n",
+        ]
+
     def test_undefined_delta_renders_placeholder(self):
         rows = [CompareRow("empty", 1, 0, 0, 0)]
         assert " -" in format_compare_table(rows)

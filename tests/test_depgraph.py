@@ -190,6 +190,12 @@ class TestExportDot:
         assert dot.count("->") == 2
         assert dot.count("style=dashed") == 0
 
+    def test_label_escapes_quotes_and_backslashes(self):
+        circuit = Circuit.build(2, [('my"gate', (0, 1), (), 1), ("back\\slash", (1,), (), 1)])
+        dot = export_dot(build_disjunctive_graph(circuit, build_standard_dag(circuit), STANDARD))
+        assert 'n0 [label="my\\"gate(0,1) p=1"];' in dot
+        assert 'n1 [label="back\\\\slash(1) p=1"];' in dot
+
     def test_empty_circuit(self):
         circuit = Circuit(1, ())
         dot = export_dot(build_disjunctive_graph(circuit, build_standard_dag(circuit), STANDARD))

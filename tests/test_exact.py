@@ -371,10 +371,26 @@ def test_incremental_search_matches_the_reference():
     assert 6 * sum(branched) >= len(branched), f"{sum(branched)} of {len(branched)} branched"
 
 
-@pytest.mark.parametrize("seed", [12, 49, 59])
-def test_incremental_search_matches_the_reference_at_30_ops(seed):
-    circuit = pool_circuit(random.Random(seed), 6, 30)
-    assert _same_search_as_reference(circuit) >= 300
+@pytest.mark.parametrize(
+    "qubits, ops, seed, min_nodes, min_joins",
+    [
+        (6, 30, 12, 300, 0),
+        (6, 30, 49, 300, 1),
+        (6, 30, 59, 300, 0),
+        (3, 30, 53, 400, 2),
+        (4, 24, 120, 140, 2),
+    ],
+)
+def test_incremental_search_matches_the_reference_on_seeded_circuits(
+    qubits, ops, seed, min_nodes, min_joins
+):
+    """A seeded :func:`pool_circuit` on which the search runs long. The
+    last two hold two or more join nodes in their extended DAGs, so they
+    check the search's heads, tails and reach at join nodes too."""
+    circuit = pool_circuit(random.Random(seed), qubits, ops)
+    dag = build_extended_dag(circuit, DEFAULT)
+    assert len(dag.join_successors) - dag.num_ops >= min_joins
+    assert _same_search_as_reference(circuit) >= min_nodes
 
 
 def test_relaxation_monotone_against_standard_baseline():
