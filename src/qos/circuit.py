@@ -459,6 +459,11 @@ def parse_qasm_subset(text: str) -> Circuit:
                 continue
             if not gate:
                 raise CircuitError(f"line {line}: cannot parse statement {stmt!r}")
+            if gate.group(1) == "qreg":
+                raise CircuitError(
+                    f"line {line}: malformed qreg declaration {stmt!r}; expected qreg name[size], "
+                    "the size in digits 0-9"
+                )
             raise CircuitError(f"line {line}: unsupported gate {name!r}")
         if reg_name is None:
             raise CircuitError(f"line {line}: gate statement before qreg declaration")

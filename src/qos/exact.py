@@ -3,12 +3,14 @@
 Orienting every disjunctive pair (while keeping the graph acyclic) fixes
 the order of operations competing for qubits; the longest-path schedule of
 the oriented graph is then the best schedule compatible with that order.
-The branch-and-bound solver searches orientations depth first with path
-propagation and two lower bounds: the critical path, and per qubit the
-value of Jackson's preemptive schedule for the qubit's operations taken as
-one machine's jobs (Carlier 1982). A brute-force enumerator over all
-orientations serves as its correctness oracle. A big-M linear model
-can be exported in CPLEX LP format for external mixed-integer solvers.
+The branch-and-bound solver searches orientations depth first with two
+lower bounds: the critical path, and per qubit the value of Jackson's
+preemptive schedule for the qubit's operations taken as one machine's jobs
+(Carlier 1982); it propagates paths and, at every node, immediate
+selection against the incumbent (Carlier & Pinson 1989), and branches on
+the most constrained pair. A brute-force enumerator over all orientations
+serves as its correctness oracle. A big-M linear model can be exported in
+CPLEX LP format for external mixed-integer solvers.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ class SolverConfig:
 class SolveResult:
     """Best schedule found, whether optimality was proved within the time
     limit, a lower bound on the optimal makespan (equal to ``makespan`` when
-    proved), and search statistics."""
+    proved), search statistics, and where the schedule came from:
+    ``"heft"`` when the search never improved on the list-scheduling
+    heuristic's incumbent, ``"search"`` when it did (always for
+    :func:`solve_bruteforce`)."""
 
     schedule: Schedule
     makespan: int
@@ -50,6 +55,7 @@ class SolveResult:
     nodes: int
     elapsed: float
     lower_bound: int
+    incumbent_source: str
 
 
 class _TimeLimit(Exception):
@@ -117,26 +123,38 @@ def _machines(g: DisjunctiveGraph, reach: Sequence[int], partners: Sequence[int]
 def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:
     """Depth-first branch and bound over pair orientations.
 
-    At each node: (1) propagate, orienting any pair whose endpoints are
-    already connected by a path through the fixed arcs; (2) prune when the
-    lower bound reaches the incumbent makespan. The bound is the larger of
-    the longest path through the fixed arcs and, for each qubit that
+    At each node, until nothing more is forced: (1) prune when the lower
+    bound reaches the incumbent makespan UB. The bound is the larger of the
+    longest path through the oriented arcs and, for each qubit that
     :func:`_machines` accepts, the one-machine bound of
-    :func:`_jackson_bound` over the qubit's positive-duration ops, with the
-    node's heads and tails; (3) otherwise branch on an unoriented pair with
-    both endpoints on a current critical path (lowest pair index first),
-    trying the source-order direction before the reverse. Leaves are
-    evaluated semi-actively. The initial incumbent comes from the
-    list-scheduling heuristic. Exhausting the tree inside the time limit
-    proves optimality; otherwise the best incumbent is returned with the
-    optimality flag cleared, and as lower bound the root node's (or, when
-    the root was not reached, the conjunctive DAG's longest path).
+    :func:`_jackson_bound` over the qubit's positive-duration ops, with
+    the node's heads and tails. (2) Scan the unoriented pairs (k, l) in
+    index order for immediate selection (Carlier & Pinson 1989): with
+    a = head(k) + p(k) + tail(l), the longest path through k -> l, and
+    b = head(l) + p(l) + tail(k), close the node when both reach UB, and
+    orient the pair l -> k when only a does (k -> l when only b does).
+    Each oriented arc also orients every pair a path then orders, and
+    the pairs after it are scanned with the updated heads and tails. (3)
+    When the scan forces nothing, branch on the pair with the largest
+    min(a, b), the lowest index on a tie, trying its cheaper direction
+    first (source order on a tie). A node whose pairs are all oriented
+    is a leaf: its heads are the semi-active schedule. The initial
+    incumbent comes from the list-scheduling heuristic.
+
+    ``nodes`` counts the root and each branching arc tried; forced pairs
+    make no nodes. Exhausting the tree inside the time limit proves
+    optimality; otherwise the best incumbent is returned with the
+    optimality flag cleared, and as lower bound the root node's last
+    bound, taken as its propagation proceeds (or, when the root was not
+    reached, the conjunctive DAG's longest path). Forcing keeps that bound
+    valid: every schedule better than the heuristic's meets the forced
+    arcs, and one no better needs no bound.
 
     Propagation is incremental. One :func:`~qos.depgraph.longest_paths`
     pass over the join graph (ops and join nodes) gives the root's heads,
-    tails and reach; below it, they are updated from each branching arc
-    alone, and undone on backtracking. An arc a pair is forced into is
-    implied by a path, so it changes no head, tail or reach.
+    tails and reach; from then on, they are updated from each new arc
+    alone, and undone on backtracking. An arc a pair is oriented into by
+    a path is implied by that path, so it changes no head, tail or reach.
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
@@ -147,6 +165,7 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     pairs = g.sorted_pairs
     best = heft(g)
     best_makespan = best.makespan
+    source = "heft"
     nodes = 0
     # A join node takes no time and relays its sources to its targets.
     succs = list(dag.join_successors)
@@ -173,46 +192,66 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
     # point forward, so in a pair (k, l) only k can reach the other end.
     fixed = [bool(reach[k] >> l & 1) for k, l in pairs]
     trail: list[tuple[list, int, object]] = []
+    # Built by the first pair scan; nodes that close on their bound need neither.
+    preds: list[list[int]] = []
+    pair_at: list[dict[int, int]] = []
 
-    def expand(left: int) -> list[tuple[int, int]] | None:
-        """Bound and evaluate one search node, whose propagation is done
-        and which has ``left`` unoriented pairs. Returns the branching
-        pair's directions in the order to try, or None when the node is
-        closed."""
-        nonlocal best, best_makespan, nodes, lower_bound
+    def expand(left: int) -> tuple[int, list[tuple[int, int]]] | None:
+        """Bound, propagate and evaluate one search node, which has ``left``
+        unoriented pairs. Returns its count of unoriented pairs after
+        propagation and its branching pair's directions in the order to
+        try, or None when the node is closed."""
+        nonlocal best, best_makespan, source, nodes, lower_bound
         nodes += 1
-        if time.perf_counter() > deadline:
-            raise _TimeLimit
-        longest = bound = max(tails, default=0)
-        if bound >= best_makespan:
-            return None
-        if not left:
-            # All pairs oriented: the heads are the semi-active schedule.
-            best, best_makespan = Schedule.from_starts(heads[:n], durations), bound
-            return None
-        for m, pick in enumerate(picks):
-            key = (pick(heads), pick(tails))
-            if seen[m] != key:
-                seen[m] = key
-                values[m] = _jackson_bound(zip(*key, machine_durations[m]))
-            bound = max(bound, values[m])
+        while True:
+            if time.perf_counter() > deadline:
+                raise _TimeLimit
+            bound = max(tails, default=0)
             if bound >= best_makespan:
                 return None
-        if nodes == 1:
-            lower_bound = bound
-        critical = {v for v in range(n) if heads[v] + tails[v] == longest}
-        choice = next(
-            (
-                idx
-                for idx, (k, l) in enumerate(pairs)
-                if not fixed[idx] and k in critical and l in critical
-            ),
-            None,
-        )
-        if choice is None:
-            choice = fixed.index(False)
-        k, l = pairs[choice]
-        return [(k, l), (l, k)]
+            if not left:
+                # All pairs oriented: the heads are the semi-active schedule.
+                best, best_makespan = Schedule.from_starts(heads[:n], durations), bound
+                source = "search"
+                return None
+            for m, pick in enumerate(picks):
+                key = (pick(heads), pick(tails))
+                if seen[m] != key:
+                    seen[m] = key
+                    values[m] = _jackson_bound(zip(*key, machine_durations[m]))
+                bound = max(bound, values[m])
+                if bound >= best_makespan:
+                    return None
+            if nodes == 1:
+                lower_bound = bound
+            if not pair_at:
+                preds.extend([] for _ in succs)
+                for w, out in enumerate(succs):
+                    for x in out:
+                        preds[x].append(w)
+                pair_at.extend({} for _ in range(n))
+                for idx, (k, l) in enumerate(pairs):
+                    pair_at[k][l] = pair_at[l][k] = idx
+            forced = False
+            widest = -1
+            for idx, (k, l) in enumerate(pairs):
+                if fixed[idx]:
+                    continue
+                before = heads[k] + durations[k] + tails[l]  # through k -> l
+                after = heads[l] + durations[l] + tails[k]  # through l -> k
+                if before >= best_makespan:
+                    if after >= best_makespan:
+                        return None
+                    left -= fix(l, k)
+                    forced = True
+                elif after >= best_makespan:
+                    left -= fix(k, l)
+                    forced = True
+                elif not forced and min(before, after) > widest:
+                    widest = min(before, after)
+                    directions = [(k, l), (l, k)] if before <= after else [(l, k), (k, l)]
+            if not forced:
+                return left, directions
 
     def fix(u: int, v: int) -> int:
         """Add the arc u -> v, where neither op reaches the other yet, and
@@ -270,20 +309,12 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
 
     optimal = True
     # Stack frames: (trail mark after this node's propagation, its count of
-    # unoriented pairs, directions still to try). Source-order direction goes first.
+    # unoriented pairs, directions still to try).
     stack: list[tuple[int, int, list[tuple[int, int]]]] = []
     try:
-        left = fixed.count(False)
-        directions = expand(left)
-        if directions is not None:
-            preds: list[list[int]] = [[] for _ in succs]
-            for w, out in enumerate(succs):
-                for x in out:
-                    preds[x].append(w)
-            pair_at: list[dict[int, int]] = [{} for _ in range(n)]
-            for idx, (k, l) in enumerate(pairs):
-                pair_at[k][l] = pair_at[l][k] = idx
-            stack.append((0, left, directions))
+        branch = expand(fixed.count(False))
+        if branch is not None:
+            stack.append((len(trail), *branch))
         while stack:
             mark, left, directions = stack[-1]
             while len(trail) > mark:
@@ -292,16 +323,15 @@ def solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveR
             if not directions:
                 stack.pop()
                 continue
-            left -= fix(*directions.pop(0))
-            directions = expand(left)
-            if directions is not None:
-                stack.append((len(trail), left, directions))
+            branch = expand(left - fix(*directions.pop(0)))
+            if branch is not None:
+                stack.append((len(trail), *branch))
     except _TimeLimit:
         optimal = False
     if optimal:
         lower_bound = best.makespan
     return SolveResult(
-        best, best.makespan, optimal, nodes, time.perf_counter() - t0, lower_bound
+        best, best.makespan, optimal, nodes, time.perf_counter() - t0, lower_bound, source
     )
 
 
@@ -331,7 +361,7 @@ def solve_bruteforce(g: DisjunctiveGraph) -> SolveResult:
     if best is None:
         raise ValueError("no acyclic orientation exists")
     return SolveResult(
-        best, best.makespan, True, evaluated, time.perf_counter() - t0, best.makespan
+        best, best.makespan, True, evaluated, time.perf_counter() - t0, best.makespan, "search"
     )
 
 

@@ -510,32 +510,39 @@ def _machines(g: DisjunctiveGraph, reach: Sequence[int]) -> dict[int, list[int]]
 
 
 def reference_solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None) -> SolveResult:
-    """Depth-first branch and bound over pair orientations.
+    """Depth-first branch and bound over pair orientations, with a full
+    longest-path pass wherever the orientation changes.
 
-    At each node: (1) propagate, orienting any pair whose endpoints are
-    already connected by a path through the fixed arcs; (2) prune when the
-    lower bound reaches the incumbent makespan. The bound is the larger of
-    the longest path through the fixed arcs and, for each qubit that
-    :func:`_machines` accepts, the one-machine bound of
-    :func:`_jackson_bound` over the qubit's positive-duration ops, with the
-    heads and tails of the last propagation pass; (3) otherwise branch on an
-    unoriented pair with both endpoints on a current critical path (lowest
-    pair index first), trying the source-order direction before the
-    reverse. Leaves are evaluated semi-actively. The initial incumbent comes
-    from the list-scheduling heuristic. Exhausting the tree inside the time
-    limit proves optimality; otherwise the best incumbent is returned with
-    the optimality flag cleared, and as lower bound the root node's (or,
-    when the root was not reached, the conjunctive DAG's longest path).
+    At each node: orient any pair whose endpoints a path through the
+    oriented arcs connects, to a fixpoint. Then, until nothing more is
+    forced: (1) prune when the lower bound reaches the incumbent makespan
+    UB. The bound is the larger of the longest path through the oriented
+    arcs and, for each qubit that :func:`_machines` accepts, the
+    one-machine bound of :func:`_jackson_bound` over the qubit's
+    positive-duration ops, with the heads and tails of the last pass. (2)
+    Scan the unoriented pairs (k, l) in index order: with
+    a = head(k) + p(k) + tail(l) and b = head(l) + p(l) + tail(k), close
+    the node when both reach UB; orient l -> k when only a does (k -> l
+    when only b does), propagate paths again, and scan the pairs after it
+    with the new pass. (3) When the scan forces nothing, branch on the
+    pair with the largest min(a, b), the lowest index on a tie, trying its
+    cheaper direction first (source order on a tie). Leaves are evaluated
+    semi-actively. The initial incumbent comes from the list-scheduling
+    heuristic. Exhausting the tree inside the time limit proves
+    optimality; otherwise the best incumbent is returned with the
+    optimality flag cleared, and as lower bound the root node's last bound
+    (or, when the root was not reached, the conjunctive DAG's longest
+    path).
     """
     cfg = config or SolverConfig()
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
-    n = g.num_ops
     durations = g.durations
     dag = g.dag
     pairs = g.sorted_pairs
     best = heft(g)
     best_makespan = best.makespan
+    source = "heft"
     nodes = 0
     conjunctive = dag.paths(durations, reach=True)
     lower_bound = max(conjunctive.tails, default=0)
@@ -561,17 +568,10 @@ def reference_solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None)
         while len(trail) > mark:
             del fixed[trail.pop()]
 
-    def expand() -> tuple[int, list[tuple[int, int]]] | None:
-        """Process one search node under the current assignments: propagate,
-        bound, evaluate leaves. Returns the branching pair and the direction
-        order to try, or None when the node is closed."""
-        nonlocal best, best_makespan, nodes, lower_bound
-        nodes += 1
-        if time.perf_counter() > deadline:
-            raise _TimeLimit
-        # Propagate to a fixpoint: a path between a pair's endpoints forces
-        # its direction, and new arcs can force further pairs. The last pass,
-        # which forces nothing, describes the node's graph.
+    def propagate():
+        """Orient every pair a path orders, to a fixpoint (new arcs can
+        order further pairs), and return the last pass, which orients
+        nothing and so describes the current graph."""
         while True:
             paths = dag.paths(durations, fixed.values(), reach=True)
             reach = paths.reach
@@ -586,42 +586,60 @@ def reference_solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None)
                     assign(idx, (l, k))
                     forced = True
             if not forced:
-                break
-        heads, tails = paths.heads, paths.tails
-        longest = bound = max(tails, default=0)
-        if bound >= best_makespan:
-            return None
-        if len(fixed) == len(pairs):
-            # All pairs oriented: the heads are the semi-active schedule.
-            best, best_makespan = Schedule.from_starts(heads, durations), bound
-            return None
-        for m, pick in enumerate(picks):
-            key = (pick(heads), pick(tails))
-            if seen[m] != key:
-                seen[m] = key
-                values[m] = _jackson_bound(zip(*key, machine_durations[m]))
-            bound = max(bound, values[m])
+                return paths
+
+    def expand() -> tuple[int, list[tuple[int, int]]] | None:
+        """Process one search node under the current assignments: propagate,
+        bound, evaluate leaves. Returns the branching pair and the direction
+        order to try, or None when the node is closed."""
+        nonlocal best, best_makespan, source, nodes, lower_bound
+        nodes += 1
+        paths = propagate()
+        while True:
+            if time.perf_counter() > deadline:
+                raise _TimeLimit
+            bound = max(paths.tails, default=0)
             if bound >= best_makespan:
                 return None
-        if nodes == 1:
-            lower_bound = bound
-        critical = {v for v in range(n) if heads[v] + tails[v] == longest}
-        choice = next(
-            (
-                idx
-                for idx, (k, l) in enumerate(pairs)
-                if idx not in fixed and k in critical and l in critical
-            ),
-            None,
-        )
-        if choice is None:
-            choice = next(idx for idx in range(len(pairs)) if idx not in fixed)
-        k, l = pairs[choice]
-        return choice, [(k, l), (l, k)]
+            if len(fixed) == len(pairs):
+                # All pairs oriented: the heads are the semi-active schedule.
+                best, best_makespan = Schedule.from_starts(paths.heads, durations), bound
+                source = "search"
+                return None
+            for m, pick in enumerate(picks):
+                key = (pick(paths.heads), pick(paths.tails))
+                if seen[m] != key:
+                    seen[m] = key
+                    values[m] = _jackson_bound(zip(*key, machine_durations[m]))
+                bound = max(bound, values[m])
+                if bound >= best_makespan:
+                    return None
+            if nodes == 1:
+                lower_bound = bound
+            forced = False
+            widest = -1
+            for idx, (k, l) in enumerate(pairs):
+                if idx in fixed:
+                    continue
+                heads, tails = paths.heads, paths.tails
+                before = heads[k] + durations[k] + tails[l]
+                after = heads[l] + durations[l] + tails[k]
+                if before >= best_makespan and after >= best_makespan:
+                    return None
+                if before >= best_makespan or after >= best_makespan:
+                    assign(idx, (l, k) if before >= best_makespan else (k, l))
+                    paths = propagate()
+                    forced = True
+                elif not forced and min(before, after) > widest:
+                    widest = min(before, after)
+                    choice = idx
+                    directions = [(k, l), (l, k)] if before <= after else [(l, k), (k, l)]
+            if not forced:
+                return choice, directions
 
     optimal = True
     # Stack frames: (trail mark after this node's propagation, branching
-    # pair, directions still to try). Source-order direction goes first.
+    # pair, directions still to try).
     stack: list[tuple[int, int, list[tuple[int, int]]]] = []
     try:
         branch = expand()
@@ -642,5 +660,5 @@ def reference_solve_bnb(g: DisjunctiveGraph, config: SolverConfig | None = None)
     if optimal:
         lower_bound = best.makespan
     return SolveResult(
-        best, best.makespan, optimal, nodes, time.perf_counter() - t0, lower_bound
+        best, best.makespan, optimal, nodes, time.perf_counter() - t0, lower_bound, source
     )

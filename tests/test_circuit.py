@@ -163,6 +163,19 @@ class TestParseQasm:
         with pytest.raises(CircuitError, match="line 2: "):
             parse_qasm_subset("OPENQASM 2.0;\nqreg q[٣];\nh q[0];")
 
+    @pytest.mark.parametrize(
+        "declaration",
+        ["qreg q[x]", "qreg q[-1]", "qreg q", "qreg q[٣]"],
+        ids=["name-size", "negative-size", "no-size", "non-ascii-size"],
+    )
+    def test_malformed_qreg_declaration_named_with_line(self, declaration):
+        with pytest.raises(CircuitError) as err:
+            parse_qasm_subset(f"OPENQASM 2.0;\n{declaration};\nh q[0];")
+        assert str(err.value) == (
+            f"line 2: malformed qreg declaration {declaration!r}; expected qreg name[size], "
+            "the size in digits 0-9"
+        )
+
     def test_operand_index_in_non_ascii_digits_rejected_with_line(self):
         with pytest.raises(CircuitError, match=r"line 3: cannot parse operand 'q\[٢\]'"):
             parse_qasm_subset("qreg q[3];\nh q[0];\nh q[٢];")

@@ -108,6 +108,7 @@ class TestBranchAndBound:
         rushed = solve_bnb(graph, SolverConfig(time_limit=1e-9))
         assert not rushed.optimal
         assert rushed.makespan == heft(graph).makespan
+        assert rushed.incumbent_source == "heft"
         assert rushed.makespan >= solve_bnb(graph).makespan
         # The root was never evaluated: the bound is the conjunctive DAG's.
         assert rushed.lower_bound == max(longest_paths(edge_successors(dag), graph.durations).tails)
@@ -124,6 +125,19 @@ class TestBranchAndBound:
         assert result.optimal
         assert result.nodes == 1
         assert result.makespan == result.lower_bound == 4 * k + 1
+
+    def test_incumbent_source_names_the_heuristic_or_the_search(self):
+        # fan20 closes at the root on heft's schedule of 81 dt; on this
+        # 30-op circuit the search finds 57 dt against heft's 62.
+        gates = [("h", [0], (), 1)]
+        gates += [("cx", [0, t], (), 2) for t in range(1, 21)]
+        gates += [("cx", [c, 0], (), 2) for c in range(1, 21)]
+        _, fan = ext_graph(Circuit.build(21, gates))
+        assert solve_bnb(fan).incumbent_source == "heft"
+        _, graph = ext_graph(pool_circuit(random.Random(59), 6, 30))
+        assert heft(graph).makespan == 62
+        result = solve_bnb(graph)
+        assert (result.makespan, result.optimal, result.incumbent_source) == (57, True, "search")
 
     def test_search_leaves_the_edge_set_underived(self):
         # The DAG holds a 5 x 5 link between the hub's runs: the search
@@ -333,7 +347,9 @@ def test_bnb_matches_bruteforce_with_its_lower_bound(circuit):
 
 
 def _search(result):
-    return result.schedule, result.optimal, result.nodes, result.lower_bound
+    return (
+        result.schedule, result.optimal, result.nodes, result.lower_bound, result.incumbent_source
+    )
 
 
 def _same_search_as_reference(circuit) -> int:
@@ -372,25 +388,80 @@ def test_incremental_search_matches_the_reference():
 
 
 @pytest.mark.parametrize(
-    "qubits, ops, seed, min_nodes, min_joins",
+    "qubits, ops, seed, min_joins",
     [
-        (6, 30, 12, 300, 0),
-        (6, 30, 49, 300, 1),
-        (6, 30, 59, 300, 0),
-        (3, 30, 53, 400, 2),
-        (4, 24, 120, 140, 2),
+        (5, 30, 348, 0),
+        (6, 36, 393, 1),
+        (6, 36, 237, 2),
+        (3, 30, 282, 2),
+        (4, 30, 263, 2),
     ],
 )
-def test_incremental_search_matches_the_reference_on_seeded_circuits(
-    qubits, ops, seed, min_nodes, min_joins
-):
-    """A seeded :func:`pool_circuit` on which the search runs long. The
-    last two hold two or more join nodes in their extended DAGs, so they
-    check the search's heads, tails and reach at join nodes too."""
+def test_incremental_search_matches_the_reference_on_seeded_circuits(qubits, ops, seed, min_joins):
+    """A seeded :func:`pool_circuit` on which the search takes 100 nodes or
+    more (199 to 467). The last three hold two or more join nodes in their
+    extended DAGs, so they check the search's heads, tails and reach at
+    join nodes too."""
     circuit = pool_circuit(random.Random(seed), qubits, ops)
     dag = build_extended_dag(circuit, DEFAULT)
     assert len(dag.join_successors) - dag.num_ops >= min_joins
-    assert _same_search_as_reference(circuit) >= min_nodes
+    assert _same_search_as_reference(circuit) >= 100
+
+
+@pytest.mark.parametrize("seed", [12, 49, 59])
+def test_immediate_selection_shrinks_the_tree(seed):
+    """Without immediate selection, and branching on the lowest-index
+    critical pair, these circuits took 401, 473 and 383 nodes; with it,
+    13, 3 and 33."""
+    circuit = pool_circuit(random.Random(seed), 6, 30)
+    for rules, dag in (
+        (STANDARD, build_standard_dag(circuit)),
+        (DEFAULT, build_extended_dag(circuit, DEFAULT)),
+    ):
+        for mode in DisjunctiveEdgeMode:
+            result = solve_bnb(build_disjunctive_graph(circuit, dag, rules, mode))
+            assert result.optimal
+            assert result.nodes <= 50, mode
+
+
+def _two_chains(tail_of_first: int) -> DisjunctiveGraph:
+    """Ops 1 and 2 share qubit 0 as a pair. Op 0 (2 dt) runs before op 2,
+    op 3 (``tail_of_first`` dt) after op 1 and op 4 (4 dt) after op 2; ops 1
+    and 2 take 4 dt. So op 1 has head 0 and tail 4 + ``tail_of_first``, and
+    op 2 head 2 and tail 8: 1 -> 2 costs 12, and 2 -> 1 costs
+    10 + ``tail_of_first``."""
+    return DisjunctiveGraph.from_pairs(
+        dag=DependencyDag.from_edges(5, [(0, 2), (1, 3), (2, 4)]),
+        pairs={(1, 2)},
+        names=("x",) * 5,
+        durations=(2, 4, 4, tail_of_first, 4),
+        qubits=((1,), (0,), (0,), (2,), (3,)),
+    )
+
+
+def test_a_pair_that_cannot_beat_the_incumbent_either_way_closes_the_node():
+    # heft puts op 2 first: 11. Neither the critical path (2 + 8 = 10) nor
+    # qubit 0's preemptive bound (10) reaches it, but 1 -> 2 costs 12 and
+    # 2 -> 1 costs 11: no schedule beats 11, so the root closes unbranched.
+    graph = _two_chains(1)
+    assert heft(graph).makespan == 11
+    assert _jackson_bound([(0, 5, 4), (2, 8, 4)]) == 10
+    result = solve_bnb(graph)
+    assert (result.makespan, result.optimal, result.nodes, result.lower_bound) == (11, True, 1, 11)
+    assert result.incumbent_source == "heft"
+
+
+def test_a_forced_pair_adds_no_node():
+    # heft puts op 2 first: 13. The bounds read 10 and 11, and 2 -> 1 costs
+    # 13, so the pair is forced to 1 -> 2, which orients every pair: the
+    # root itself is the leaf that finds the optimum, 12.
+    graph = _two_chains(3)
+    assert heft(graph).makespan == 13
+    assert _jackson_bound([(0, 7, 4), (2, 8, 4)]) == 11
+    result = solve_bnb(graph)
+    assert (result.makespan, result.optimal, result.nodes) == (12, True, 1)
+    assert result.schedule.starts == (0, 0, 4, 4, 8)
+    assert result.incumbent_source == "search"
 
 
 def test_relaxation_monotone_against_standard_baseline():
